@@ -75,10 +75,8 @@ obs_raw="$(mktemp)"
 wire_raw="$(mktemp)"
 trap 'rm -f "$raw" "$churn_raw" "$fig5_raw" "$scale_raw" "$obs_raw" "$wire_raw"' EXIT
 "$build_dir/bench/bench_kernels" --benchmark_format=json "$@" > "$raw"
-# Regrid-churn storm, pooled (Arg 1) vs malloc (Arg 0) block substrate.
-# Runs need >= ~10 iterations for the malloc side to reach its
-# steady-state heap pattern, hence the fixed min_time; the recorded
-# ratio is the median of 3 repetitions to ride out host drift.
+# Regrid-churn storm over the pooled block substrate; the recorded
+# numbers are the median of 3 repetitions to ride out host drift.
 "$build_dir/bench/abl_regrid_churn" --benchmark_format=json \
   --benchmark_min_time=1 --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true > "$churn_raw"
@@ -110,18 +108,17 @@ git_sha="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
 ncpu="$(nproc 2>/dev/null || echo unknown)"
 
 seed="$repo_root/bench/BENCH_kernels_seed.json"
-churn_seed="$repo_root/bench/BENCH_regrid_churn_seed.json"
 out="$repo_root/BENCH_kernels.json"
 solver_out="$repo_root/BENCH_solver.json"
 AB_BENCH_COMPILER="$compiler" AB_BENCH_NATIVE_ARCH="$native_arch" \
 AB_BENCH_CXX_FLAGS="$cxx_flags" AB_BENCH_GIT_SHA="$git_sha" \
 AB_BENCH_NPROC="$ncpu" AB_BENCH_BUILD_TYPE="$build_type" \
-python3 - "$raw" "$seed" "$out" "$solver_out" "$churn_raw" "$churn_seed" \
+python3 - "$raw" "$seed" "$out" "$solver_out" "$churn_raw" \
   "$fig5_raw" "$scale_raw" "$obs_raw" "$wire_raw" <<'EOF'
 import json, os, sys
 
-(raw_path, seed_path, out_path, solver_path, churn_path, churn_seed_path,
- fig5_path, scale_path, obs_path, wire_path) = sys.argv[1:11]
+(raw_path, seed_path, out_path, solver_path, churn_path,
+ fig5_path, scale_path, obs_path, wire_path) = sys.argv[1:10]
 after = json.load(open(raw_path))
 host = {
     "compiler": os.environ.get("AB_BENCH_COMPILER", "unknown"),
@@ -179,32 +176,10 @@ for name, ratio in doc.get("speedup_vs_seed", {}).items():
 solver = [b for b in doc["after"] if b["name"].startswith("BM_SolverStep")]
 solver_doc = {"context": doc["context"], "host": host, "benchmarks": solver}
 
-# Regrid-churn storm: pooled (/1) vs malloc (/0) block substrate, by
-# case. The ratio of representative items_per_second is the pool speedup
-# docs/PERFORMANCE.md quotes; the committed seed ratios sit alongside so
-# a substrate regression is visible without rerunning the seed machine.
-def pool_speedups(benchmarks):
-    rep = representative(benchmarks)
-    out = {}
-    for name, ips in rep.items():
-        if "/1" not in name:
-            continue
-        base = name.split("/1")[0]
-        malloc_ips = rep.get(name.replace("/1", "/0"))
-        if malloc_ips:
-            out[base] = ips / malloc_ips
-    return out
-
+# Regrid-churn storm (abl_regrid_churn): refine/coarsen cycles over the
+# pooled block substrate, the allocator-bound worst case for AMR.
 churn = json.load(open(churn_path))
-churn_doc = {"benchmarks": churn.get("benchmarks", []),
-             "pool_speedup": pool_speedups(churn.get("benchmarks", []))}
-try:
-    churn_seed = json.load(open(churn_seed_path))
-    churn_doc["seed_pool_speedup"] = pool_speedups(
-        churn_seed.get("benchmarks", []))
-except OSError:
-    pass
-solver_doc["regrid_churn"] = churn_doc
+solver_doc["regrid_churn"] = {"benchmarks": churn.get("benchmarks", [])}
 
 # Figure-5 block-size curve (src/tune/probe.hpp measurements) and the
 # autotuner's pick on this host — the numbers docs/PERFORMANCE.md
@@ -235,8 +210,6 @@ solver_doc["wire_transport"] = wire
 
 json.dump(solver_doc, open(solver_path, "w"), indent=1)
 print(f"wrote {solver_path} ({len(solver)} BM_SolverStep entries)")
-for name, ratio in churn_doc["pool_speedup"].items():
-    print(f"  {name}: pooled {ratio:.2f}x vs malloc")
 chosen = fig5.get("chosen")
 if chosen:
     label = f"{chosen['m']}^3"

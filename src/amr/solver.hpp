@@ -18,7 +18,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -86,23 +85,12 @@ class AmrSolver {
     /// clock reads, no allocation. Attaching one never changes numerics —
     /// instrumentation only reads solver state.
     obs::Telemetry* telemetry = nullptr;
-    /// Back block storage with a shared per-layout BlockPool arena so
-    /// refine/coarsen (and, in rank-parallel runs, migration) recycle
-    /// slabs instead of round-tripping through malloc. Bitwise identical
-    /// to the malloc path. Env override: AB_BLOCK_POOL=0 forces malloc,
-    /// AB_BLOCK_POOL=1 forces the pool (A/B knob for the regrid bench).
-    bool use_block_pool = true;
-    /// Threaded task-graph drain strategy (ignored with num_threads == 1).
-    /// Env override: AB_TASK_STEAL=1 selects WorkStealing, =0 SharedRing.
-    /// Either way results are bitwise identical; see TaskGraph::Mode.
-    TaskGraph::Mode task_graph_mode = TaskGraph::Mode::SharedRing;
     /// Runtime block-layout autotuning (the paper's Fig. 5 effect): probe
     /// candidate (block edge, pad, sub-blocking) layouts at construction
     /// and rewrite cells_per_block / root_blocks / pad0 / sub_block to the
     /// fastest applicable one, keeping the global grid invariant. The probe
     /// table persists at `tune_cache`, so only the first run pays for
-    /// probing. Env override: AB_AUTOTUNE=1/0 (same A/B family as
-    /// AB_BLOCK_POOL / AB_TASK_STEAL). See src/tune/ and
+    /// probing. Env override: AB_AUTOTUNE=1/0. See src/tune/ and
     /// docs/PERFORMANCE.md "Autotuned layout".
     bool autotune = false;
     /// Probe-table cache path (host-keyed JSON; see tune/cache.hpp).
@@ -126,12 +114,14 @@ class AmrSolver {
                                            &tune_decision_)),
         phys_(std::move(phys)),
         forest_(cfg_.forest),
-        block_pool_(make_block_pool(cfg_)),
-        store_(make_store(cfg_, block_pool_)),
-        scratch_(make_store(cfg_, block_pool_)),
+        // One slab arena per solver, shared by every store the stepper
+        // swaps (store_/scratch_/stage2_).
+        block_pool_(
+            std::make_shared<BlockPool>(make_layout(cfg_).block_doubles())),
+        store_(make_layout(cfg_), block_pool_),
+        scratch_(make_layout(cfg_), block_pool_),
         exchanger_(forest_, store_.layout(), cfg_.prolongation),
-        flux_register_(forest_, store_.layout()),
-        task_mode_(resolve_task_mode(cfg_)) {
+        flux_register_(forest_, store_.layout()) {
     if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
     AB_REQUIRE(cfg_.num_threads >= 1, "AmrSolver: num_threads must be >= 1");
     if (cfg_.num_threads > 1)
@@ -164,11 +154,9 @@ class AmrSolver {
   const Forest<D>& forest() const { return forest_; }
   BlockStore<D>& store() { return store_; }
   const BlockStore<D>& store() const { return store_; }
-  /// The shared slab arena backing this solver's stores (null on the
-  /// malloc path). Stats only; the solver owns the allocation policy.
+  /// The shared slab arena backing this solver's stores. Stats only; the
+  /// solver owns the allocation policy.
   const BlockPool* block_pool() const { return block_pool_.get(); }
-  /// The task-graph drain strategy in effect (config + env override).
-  TaskGraph::Mode task_graph_mode() const { return task_mode_; }
   const GhostExchanger<D>& exchanger() const { return exchanger_; }
   /// What the layout autotuner decided at construction (enabled == false
   /// when tuning was off — the config was left untouched).
@@ -282,7 +270,7 @@ class AmrSolver {
       step_subcycled(dt);
       return;
     }
-    if (pool_ && !std::getenv("AB_BENCH_BARRIER")) {
+    if (pool_) {
       step_graph(dt);
       return;
     }
@@ -305,10 +293,9 @@ class AmrSolver {
       for_leaves([&](int id) { fix_block(scratch_, id); });
     // Stage 2 (Heun): u <- (u + (scratch + dt L(scratch))) / 2.
     fill_ghosts(scratch_, time_ + dt);
-    if (cfg_.flux_correction || pool_) {
+    if (cfg_.flux_correction) {
       // Refluxing needs the whole stage result before combining: use a
-      // third store. (pool_ is only possible here via the AB_BENCH_BARRIER
-      // escape hatch; the threaded combine needs per-block storage too.)
+      // third store.
       if (!stage2_) stage2_ = new_store();
       for (int id : forest_.leaves()) stage2_->ensure(id);
       {
@@ -465,15 +452,14 @@ class AmrSolver {
     return flux_register_.num_corrections();
   }
 
-  /// Write a restart file (topology + solution + time). V2 (default) is
-  /// checksummed and written atomically; the write is accounted to the
-  /// ckpt.* metrics when telemetry is attached. Returns bytes written.
-  std::uint64_t save(const std::string& path,
-                     CheckpointFormat format = CheckpointFormat::V2) const {
+  /// Write a restart file (topology + solution + time), checksummed and
+  /// written atomically; the write is accounted to the ckpt.* metrics when
+  /// telemetry is attached. Returns bytes written.
+  std::uint64_t save(const std::string& path) const {
     obs::Telemetry* const tel = cfg_.telemetry;
     const std::int64_t t0 = tel != nullptr ? tel->trace.now_ns() : 0;
     const std::uint64_t bytes =
-        save_checkpoint<D>(path, forest_, store_, time_, format);
+        save_checkpoint<D>(path, forest_, store_, time_);
     if (tel != nullptr) {
       tel->metrics.counter("ckpt.saves")->add(1);
       tel->metrics.counter("ckpt.bytes")->add(bytes);
@@ -711,11 +697,7 @@ class AmrSolver {
     obs::Tracer* const tr =
         cfg_.telemetry != nullptr ? &cfg_.telemetry->trace : nullptr;
     stage_graph_.set_tracer(tr, "block_task");
-    stage_graph_.set_mode(task_mode_);
-    for (TaskGraph& g : level_graphs_) {
-      g.set_tracer(tr, "block_task");
-      g.set_mode(task_mode_);
-    }
+    for (TaskGraph& g : level_graphs_) g.set_tracer(tr, "block_task");
   }
 
   void rebuild_stage_graph() {
@@ -1037,22 +1019,17 @@ class AmrSolver {
         ->add(static_cast<std::uint64_t>(ghost_ops_step_[2]));
     m.gauge("solver.dt")->set(dt);
     m.gauge("solver.blocks")->set(static_cast<double>(forest_.num_leaves()));
-    if (block_pool_ != nullptr) {
-      // Pool counters are cumulative inside the arena; publish deltas so
-      // the obs counters stay additive like every other counter.
-      const BlockPool::Stats& ps = block_pool_->stats();
-      m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
-      m.gauge("pool.slabs_in_use")
-          ->set(static_cast<double>(ps.slabs_in_use));
-      m.counter("pool.reuse_hits")
-          ->add(static_cast<std::uint64_t>(ps.reuse_hits -
-                                           pool_reuse_seen_));
-      m.counter("pool.fresh_allocs")
-          ->add(static_cast<std::uint64_t>(ps.fresh_allocs -
-                                           pool_fresh_seen_));
-      pool_reuse_seen_ = ps.reuse_hits;
-      pool_fresh_seen_ = ps.fresh_allocs;
-    }
+    // Pool counters are cumulative inside the arena; publish deltas so
+    // the obs counters stay additive like every other counter.
+    const BlockPool::Stats& ps = block_pool_->stats();
+    m.gauge("pool.chunks")->set(static_cast<double>(ps.chunks));
+    m.gauge("pool.slabs_in_use")->set(static_cast<double>(ps.slabs_in_use));
+    m.counter("pool.reuse_hits")
+        ->add(static_cast<std::uint64_t>(ps.reuse_hits - pool_reuse_seen_));
+    m.counter("pool.fresh_allocs")
+        ->add(static_cast<std::uint64_t>(ps.fresh_allocs - pool_fresh_seen_));
+    pool_reuse_seen_ = ps.reuse_hits;
+    pool_fresh_seen_ = ps.fresh_allocs;
     publish_tune_gauges(m, tune_decision_);
     m.histogram("solver.step_wall_s",
                 {1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0})
@@ -1089,40 +1066,16 @@ class AmrSolver {
   }
 
   // ------------------------------------------------------------------
-  // Storage/scheduling substrate knobs (config + env A/B overrides).
+  // Block storage.
 
   static BlockLayout<D> make_layout(const Config& cfg) {
     return BlockLayout<D>(cfg.cells_per_block, cfg.ghost, Phys::NVAR,
                           cfg.pad0);
   }
 
-  /// One slab arena per solver, shared by every store the stepper swaps
-  /// (store_/scratch_/stage2_). Null when the malloc path is selected.
-  static std::shared_ptr<BlockPool> make_block_pool(const Config& cfg) {
-    bool use = cfg.use_block_pool;
-    if (const char* e = std::getenv("AB_BLOCK_POOL")) use = e[0] != '0';
-    if (!use) return nullptr;
-    return std::make_shared<BlockPool>(make_layout(cfg).block_doubles());
-  }
-
-  static BlockStore<D> make_store(const Config& cfg,
-                                  const std::shared_ptr<BlockPool>& pool) {
-    return pool != nullptr ? BlockStore<D>(make_layout(cfg), pool)
-                           : BlockStore<D>(make_layout(cfg));
-  }
-
-  /// A fresh store sharing this solver's pool (or malloc'd without one).
+  /// A fresh store sharing this solver's pool.
   std::unique_ptr<BlockStore<D>> new_store() const {
-    return std::make_unique<BlockStore<D>>(
-        make_store(cfg_, block_pool_));
-  }
-
-  static TaskGraph::Mode resolve_task_mode(const Config& cfg) {
-    TaskGraph::Mode m = cfg.task_graph_mode;
-    if (const char* e = std::getenv("AB_TASK_STEAL"))
-      m = e[0] != '0' ? TaskGraph::Mode::WorkStealing
-                      : TaskGraph::Mode::SharedRing;
-    return m;
+    return std::make_unique<BlockStore<D>>(make_layout(cfg_), block_pool_);
   }
 
   // Declared before cfg_ so cfg_'s initializer (the autotuner) can fill it.
@@ -1130,7 +1083,7 @@ class AmrSolver {
   Config cfg_;
   Phys phys_;
   Forest<D> forest_;
-  std::shared_ptr<BlockPool> block_pool_;  // null = malloc-backed stores
+  std::shared_ptr<BlockPool> block_pool_;  // backs every store below
   BlockStore<D> store_;
   BlockStore<D> scratch_;
   GhostExchanger<D> exchanger_;
@@ -1159,7 +1112,6 @@ class AmrSolver {
   std::vector<double> level_t_old_;
   std::vector<double> level_t_cur_;
   // Task-graph stepping (populated only when pool_ exists).
-  TaskGraph::Mode task_mode_ = TaskGraph::Mode::SharedRing;
   TaskGraph stage_graph_;
   StageCtx ctx_;
   std::vector<std::vector<BoundaryFace>> bfaces_by_block_;

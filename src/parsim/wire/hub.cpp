@@ -24,6 +24,9 @@ struct ByteQueue {
     data.insert(data.end(), p, p + n);
   }
   void pop_into(void* out, std::size_t n) {
+    // An empty receive may find a never-used queue whose data() is null;
+    // memcpy from a null pointer is undefined even for zero bytes.
+    if (n == 0) return;
     std::memcpy(out, data.data() + head, n);
     head += n;
     if (head == data.size()) {

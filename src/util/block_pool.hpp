@@ -14,8 +14,8 @@
 // Design (after Boostibot/c_lib's stable_array, see SNIPPETS.md):
 //  - stable addresses: a slab's address never changes between acquire and
 //    release, and acquiring/releasing other slabs never moves it — so
-//    BlockView pointers taken from a pooled store survive unrelated
-//    ensure()/release() calls, exactly like the malloc path;
+//    BlockView pointers taken from a store survive unrelated
+//    ensure()/release() calls;
 //  - chunked allocation: one 64-byte-aligned allocation serves
 //    kSlabsPerChunk slabs (two dereferences to reach a slab: chunk table,
 //    then base + slot * stride);
@@ -28,7 +28,7 @@
 //    acquire never scans full chunks.
 //
 // Acquired slabs are zero-filled, matching AlignedBuffer::allocate, so a
-// pooled store is bitwise identical to a malloc'd one by construction.
+// store's fresh blocks read as zeros whatever slot they land in.
 //
 // Thread safety: none — the pool is mutated only from the serial sections
 // of the solvers (construction, init, adapt/regrid, migration, restore),
@@ -39,7 +39,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "util/aligned.hpp"
@@ -146,8 +148,16 @@ class BlockPool {
   static constexpr std::int64_t kDoublesPerLine =
       static_cast<std::int64_t>(AlignedBuffer::kAlign / sizeof(double));
 
+  struct FreeDeleter {
+    void operator()(double* p) const { std::free(p); }
+  };
+
   struct Chunk {
-    AlignedBuffer storage;          // kSlabsPerChunk * slab_stride_ doubles
+    // kSlabsPerChunk * slab_stride_ doubles, left uninitialized: acquire()
+    // zero-fills each slab as it hands it out, so slots never acquired are
+    // never touched (and stay non-resident when the chunk is mmap-backed —
+    // a store with a few large blocks does not pay for 64).
+    std::unique_ptr<double[], FreeDeleter> storage;
     std::uint64_t free_mask = ~std::uint64_t{0};  // bit set = slot free
     std::uint64_t used_mask = 0;    // bit set = slot handed out at least once
     std::int32_t next_nonfull = -1;
@@ -155,15 +165,20 @@ class BlockPool {
   };
 
   double* slab_ptr(Chunk& c, int slot) {
-    return c.storage.data() +
+    return c.storage.get() +
            static_cast<std::int64_t>(slot) * slab_stride_;
   }
 
   void add_chunk() {
     chunks_.emplace_back();
     Chunk& c = chunks_.back();
-    c.storage.allocate(
-        static_cast<std::size_t>(slab_stride_) * kSlabsPerChunk);
+    // slab_stride_ is a whole number of alignment lines, as aligned_alloc
+    // requires of the byte size.
+    const std::size_t bytes = static_cast<std::size_t>(slab_stride_) *
+                              kSlabsPerChunk * sizeof(double);
+    c.storage.reset(
+        static_cast<double*>(std::aligned_alloc(AlignedBuffer::kAlign, bytes)));
+    if (c.storage == nullptr) throw std::bad_alloc();
     c.next_nonfull = -1;
     c.in_nonfull_list = true;
     nonfull_head_ = static_cast<std::int32_t>(chunks_.size()) - 1;

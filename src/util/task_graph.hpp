@@ -29,7 +29,6 @@
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
-#include "util/steal_deque.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ab {
@@ -37,20 +36,6 @@ namespace ab {
 class TaskGraph {
  public:
   using TaskId = int;
-
-  /// Threaded drain strategy (the serial FIFO path is always used with no
-  /// pool or a one-thread pool):
-  ///  - SharedRing: one global ready ring; the k-th parallel_for claimant
-  ///    futex-waits on slot k. Simple, and fine when tasks are coarse.
-  ///  - WorkStealing: per-worker Chase-Lev deques; each worker runs the
-  ///    tasks it enables itself (LIFO, cache-warm) and steals the oldest
-  ///    ready task from a victim only when its own deque runs dry, parking
-  ///    on a futex when every deque is empty. Cuts contention on the
-  ///    shared push cursor and keeps successor chains on one core.
-  /// Results are bitwise identical either way: every scheduled workload
-  /// writes disjoint memory, so the claim/steal order never shows in the
-  /// output — asserted by the determinism suites at threads 1-4.
-  enum class Mode { SharedRing, WorkStealing };
 
   /// Add a task; returns its id. Bodies must be safe to run concurrently
   /// with every task they are not ordered against, and must not throw.
@@ -84,21 +69,15 @@ class TaskGraph {
 
   /// Parent-link every span the next run() records to `span` (0 — the
   /// default — restores anonymous spans). The owner sets this from the
-  /// enclosing phase span each stage, so stolen tasks stay attached to
-  /// the phase that spawned them in the causal trace. Set it before run()
-  /// from the stepping thread only.
+  /// enclosing phase span each stage, so tasks run on pool workers stay
+  /// attached to the phase that spawned them in the causal trace. Set it
+  /// before run() from the stepping thread only.
   void set_parent_span(std::uint64_t span) { parent_span_ = span; }
-
-  /// Select the threaded drain strategy (default SharedRing). Safe to call
-  /// between runs; has no effect on the serial path.
-  void set_mode(Mode m) { mode_ = m; }
-  Mode mode() const { return mode_; }
 
   void clear() {
     tasks_.clear();
     remaining_.clear();
     slots_.clear();
-    deques_.clear();
   }
 
   /// Execute every task, respecting dependencies; returns when all have
@@ -121,10 +100,6 @@ class TaskGraph {
 
     if (pool == nullptr || pool->size() == 1) {
       run_serial(tr);
-      return;
-    }
-    if (mode_ == Mode::WorkStealing) {
-      run_stealing(pool, tr);
       return;
     }
 
@@ -193,97 +168,6 @@ class TaskGraph {
     int num_deps = 0;
   };
 
-  // Work-stealing drain. Each parallel_for index w "owns" deque w for the
-  // duration of its loop (chunk=1, and a loop exits only when all tasks
-  // are done, so ownership is exclusive at any moment even if one OS
-  // thread ends up claiming several indices). Roots are seeded round-robin
-  // by the calling thread before the workers start — parallel_for's
-  // dispatch provides the happens-before edge reset()/push() need.
-  //
-  // Parking: a worker whose own deque and every victim's deque are dry
-  // loads the push epoch, re-sweeps, and futex-waits on the epoch. Every
-  // push bumps the epoch after publishing, and the worker re-loads the
-  // epoch *before* its sweep, so a push concurrent with the sweep either
-  // is seen by the sweep or makes the wait return immediately. A steal
-  // lost to a racing thief can park a worker while work remains, but the
-  // winning thief is awake and sweeps again before it parks, so the drain
-  // as a whole always progresses; the completion of the last task bumps
-  // the epoch once more so no worker sleeps through termination.
-  void run_stealing(ThreadPool* pool, obs::Tracer* tr) {
-    const int n = size();
-    const int nw = pool->size();
-    if (static_cast<int>(deques_.size()) != nw)
-      deques_ = std::vector<StealDeque>(static_cast<std::size_t>(nw));
-    for (StealDeque& d : deques_) d.reset(n);
-    std::atomic<int> done{0};
-    std::atomic<std::uint32_t> epoch{0};
-    int roots = 0;
-    for (int i = 0; i < n; ++i)
-      if (tasks_[static_cast<std::size_t>(i)].num_deps == 0) {
-        deques_[static_cast<std::size_t>(roots % nw)].push(i);
-        ++roots;
-      }
-    AB_REQUIRE(roots > 0, "TaskGraph::run: no root tasks (dependency cycle)");
-    pool->parallel_for(
-        static_cast<std::int64_t>(nw),
-        [&](std::int64_t w) {
-          StealDeque& own = deques_[static_cast<std::size_t>(w)];
-          auto run_one = [&](int id) {
-            Task& t = tasks_[static_cast<std::size_t>(id)];
-            if (tr != nullptr) {
-              const std::int64_t t0 = tr->now_ns();
-              t.fn();
-              record_span(tr, trace_label_, "task", t0);
-            } else {
-              t.fn();
-            }
-            for (int s : t.successors)
-              if (remaining_[static_cast<std::size_t>(s)].fetch_sub(
-                      1, std::memory_order_acq_rel) == 1) {
-                own.push(s);
-                epoch.fetch_add(1, std::memory_order_release);
-                epoch.notify_all();
-              }
-            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-              epoch.fetch_add(1, std::memory_order_release);
-              epoch.notify_all();
-            }
-          };
-          while (done.load(std::memory_order_acquire) < n) {
-            int id = own.pop();
-            for (int v = 1; id < 0 && v < nw; ++v)
-              id = deques_[static_cast<std::size_t>((w + v) % nw)].steal();
-            if (id >= 0) {
-              run_one(id);
-              continue;
-            }
-            // Dry: short yield spin (a producer is usually mid-push), then
-            // re-load the epoch, sweep once more, and park on it.
-            const std::int64_t w0 = tr != nullptr ? tr->now_ns() : 0;
-            for (int spin = 0; id < 0 && spin < 32; ++spin) {
-              std::this_thread::yield();
-              id = own.pop();
-              for (int v = 1; id < 0 && v < nw; ++v)
-                id = deques_[static_cast<std::size_t>((w + v) % nw)].steal();
-            }
-            while (id < 0 && done.load(std::memory_order_acquire) < n) {
-              const std::uint32_t e = epoch.load(std::memory_order_acquire);
-              id = own.pop();
-              for (int v = 1; id < 0 && v < nw; ++v)
-                id = deques_[static_cast<std::size_t>((w + v) % nw)].steal();
-              if (id >= 0 || done.load(std::memory_order_acquire) >= n)
-                break;
-              epoch.wait(e, std::memory_order_acquire);
-            }
-            if (tr != nullptr)
-              record_span(tr, "ready_stall", "stall", w0);
-            if (id >= 0) run_one(id);
-          }
-        },
-        /*chunk=*/1);
-    AB_ASSERT(done.load(std::memory_order_acquire) == n);
-  }
-
   void run_serial(obs::Tracer* tr) {
     const int n = size();
     std::vector<int> queue;
@@ -324,9 +208,7 @@ class TaskGraph {
 
   std::vector<Task> tasks_;
   std::vector<std::atomic<int>> remaining_;
-  std::vector<std::atomic<int>> slots_;    // SharedRing ready slots
-  std::vector<StealDeque> deques_;         // WorkStealing, one per worker
-  Mode mode_ = Mode::SharedRing;
+  std::vector<std::atomic<int>> slots_;  // ready ring, one slot per task
   obs::Tracer* tracer_ = nullptr;
   const char* trace_label_ = "task";
   std::uint64_t parent_span_ = 0;

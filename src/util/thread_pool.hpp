@@ -100,10 +100,12 @@ class ThreadPool {
     }
     cv_.notify_all();
     drain();  // the calling thread works too
-    // Wait for stragglers.
+    // Wait for stragglers, and for every worker that joined this loop to
+    // leave drain(): one still inside could otherwise claim indices of the
+    // next loop through this loop's body.
     std::unique_lock<std::mutex> lk(mu_);
     done_cv_.wait(lk, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
+      return remaining_.load(std::memory_order_acquire) == 0 && active_ == 0;
     });
     invoke_ = nullptr;
     ctx_ = nullptr;
@@ -142,8 +144,12 @@ class ThreadPool {
         cv_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
         if (shutdown_) return;
         seen = generation_;
+        if (invoke_ == nullptr) continue;  // woke after that loop finished
+        ++active_;
       }
       drain();
+      std::lock_guard<std::mutex> lk(mu_);
+      if (--active_ == 0) done_cv_.notify_all();
     }
   }
 
@@ -160,6 +166,7 @@ class ThreadPool {
   std::int64_t chunk_ = 1;
   std::atomic<std::int64_t> remaining_{0};
   std::uint64_t generation_ = 0;
+  int active_ = 0;  // workers inside drain(), guarded by mu_
   bool shutdown_ = false;
 };
 

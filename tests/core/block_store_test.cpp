@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 
 namespace ab {
@@ -131,7 +132,9 @@ namespace {
 
 TEST(BlockStore, SwapBlockExchangesBuffers) {
   BlockLayout<2> lay({4, 4}, 1, 1);
-  BlockStore<2> a(lay), b(lay);
+  // Swapping blocks needs one arena behind both stores.
+  auto pool = std::make_shared<BlockPool>(lay.block_doubles());
+  BlockStore<2> a(lay, pool), b(lay, pool);
   a.ensure(2);
   b.ensure(2);
   a.view(2).at(0, {1, 1}) = 5.0;

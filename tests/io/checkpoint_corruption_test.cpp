@@ -25,7 +25,11 @@
 namespace ab {
 namespace {
 
-const char* kPath = "/tmp/ab_checkpoint_corruption_test.bin";
+// ctest runs every case as its own process, several at once: one scratch
+// file per process keeps them from clobbering each other.
+const std::string kPathName =
+    "/tmp/ab_checkpoint_corruption_test_" + std::to_string(::getpid()) + ".bin";
+const char* kPath = kPathName.c_str();
 
 Forest<2>::Config forest_cfg() {
   Forest<2>::Config c;
@@ -245,14 +249,12 @@ TEST(CheckpointCorruption, TruncationErrorsCarryByteOffsets) {
 }
 
 TEST(CheckpointCorruption, V1TruncationErrorsCarryByteOffsets) {
-  Forest<2> f(forest_cfg());
-  BlockStore<2> store(layout());
-  for (int id : f.leaves()) store.ensure(id);
-  save_checkpoint<2>(kPath, f, store, 0.5, CheckpointFormat::V1);
-  std::ifstream is(kPath, std::ios::binary);
+  // The v1 image of an all-zero store on the root grid (time 0.5).
+  std::ifstream is(AB_TEST_FIXTURE_DIR "/checkpoint_v1_zero.bin",
+                   std::ios::binary);
+  ASSERT_TRUE(is.good());
   std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
                           std::istreambuf_iterator<char>());
-  is.close();
   // Cut inside the last block's cell data.
   std::vector<char> bad(bytes.begin(),
                         bytes.begin() + static_cast<std::ptrdiff_t>(

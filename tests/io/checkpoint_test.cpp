@@ -1,9 +1,11 @@
 #include "io/checkpoint.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "amr/solver.hpp"
 #include "physics/euler.hpp"
@@ -11,7 +13,11 @@
 namespace ab {
 namespace {
 
-const char* kPath = "/tmp/ab_checkpoint_test.bin";
+// ctest runs every case as its own process, several at once: one scratch
+// file per process keeps them from clobbering each other.
+const std::string kPathName =
+    "/tmp/ab_checkpoint_test_" + std::to_string(::getpid()) + ".bin";
+const char* kPath = kPathName.c_str();
 
 Forest<2>::Config forest_cfg() {
   Forest<2>::Config c;
@@ -61,6 +67,8 @@ TEST(Checkpoint, RoundTripTopologyAndData) {
 TEST(Checkpoint, V1FilesStillLoad) {
   // Back-compat: files written in the legacy v1 layout (no sections, no
   // checksums) must keep loading byte-for-byte through the v2 reader.
+  // Nothing writes v1 any more: the fixture holds the v1 image of the
+  // store built below (exact dyadic values, so the bytes are portable).
   Forest<2> f(forest_cfg());
   BlockLayout<2> lay({4, 4}, 2, 3);
   BlockStore<2> store(lay);
@@ -73,11 +81,11 @@ TEST(Checkpoint, V1FilesStillLoad) {
         v.at(var, p) = id + 0.25 * var + 0.5 * p[0] - p[1];
     });
   }
-  save_checkpoint<2>(kPath, f, store, 7.5, CheckpointFormat::V1);
 
   Forest<2> g(forest_cfg());
   BlockStore<2> store2(lay);
-  const double t = load_checkpoint<2>(kPath, g, store2);
+  const double t = load_checkpoint<2>(
+      AB_TEST_FIXTURE_DIR "/checkpoint_v1_refined.bin", g, store2);
   EXPECT_DOUBLE_EQ(t, 7.5);
   ASSERT_EQ(g.num_leaves(), f.num_leaves());
   for (int id : f.leaves()) {
@@ -90,7 +98,6 @@ TEST(Checkpoint, V1FilesStillLoad) {
         ASSERT_EQ(a.at(var, p), b.at(var, p));
     });
   }
-  std::remove(kPath);
 }
 
 TEST(Checkpoint, RejectsMismatchedConfig) {

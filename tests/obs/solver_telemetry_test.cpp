@@ -166,8 +166,8 @@ void check_report(int threads) {
   ASSERT_NE(gauges, nullptr);
   EXPECT_EQ(gauges->find("solver.dt")->number,
             records.back().find("dt")->number);
-  // Pool substrate accounting (the default config is pooled): cumulative
-  // slab traffic counters plus the final arena shape gauges.
+  // Pool substrate accounting: cumulative slab traffic counters plus the
+  // final arena shape gauges.
   ASSERT_NE(counters->find("pool.fresh_allocs"), nullptr);
   EXPECT_GT(counters->find("pool.fresh_allocs")->number, 0.0);
   ASSERT_NE(counters->find("pool.reuse_hits"), nullptr);
@@ -177,33 +177,6 @@ void check_report(int threads) {
   ASSERT_NE(gauges->find("pool.slabs_in_use"), nullptr);
   EXPECT_GT(gauges->find("pool.slabs_in_use")->number, 0.0);
   std::remove(path.c_str());
-}
-
-// A malloc-backed run must not emit pool.* telemetry at all.
-TEST(StepReportJsonl, MallocRunHasNoPoolEntries) {
-  obs::Telemetry tel;
-  const std::string path = ::testing::TempDir() + "tel_nopool.jsonl";
-  ASSERT_TRUE(tel.open_report(path));
-  auto cfg = base_cfg(1);
-  cfg.use_block_pool = false;
-  cfg.telemetry = &tel;
-  AmrSolver<2, Euler<2>> solver(cfg, euler);
-  solver.init(euler_ic);
-  for (int i = 0; i < 2; ++i) solver.step(solver.compute_dt());
-  const std::vector<testjson::Value> records = read_jsonl(path);
-  ASSERT_EQ(records.size(), 2u);
-  const testjson::Value* counters = records.back().find("counters");
-  const testjson::Value* gauges = records.back().find("gauges");
-  ASSERT_NE(counters, nullptr);
-  ASSERT_NE(gauges, nullptr);
-  for (const auto& [key, value] : counters->obj) {
-    EXPECT_NE(key.rfind("pool.", 0), 0u) << key;
-    (void)value;
-  }
-  for (const auto& [key, value] : gauges->obj) {
-    EXPECT_NE(key.rfind("pool.", 0), 0u) << key;
-    (void)value;
-  }
 }
 
 TEST(StepReportJsonl, SerialRecordsAreConsistent) { check_report(1); }

@@ -449,7 +449,8 @@ std::function<void(const RVec<2>&, Euler<2>::State&)> euler_ic(
 /// rank_solver_test runs on the Board path): two seeded adapt rounds,
 /// init, 6 steps with regrids (re-partition + migration) after steps 2
 /// and 4 — every payload class crosses the transport. `hub` null means
-/// the solver owns a private single-process hub for `kind`.
+/// the solver owns a private single-process hub for `kind`; `overlap`
+/// false switches off async topology deltas and hull prefetch.
 template <class Phys>
 void run_wire_equivalence(
     const typename AmrSolver<2, Phys>::Config& scfg, const Phys& phys,
@@ -457,13 +458,15 @@ void run_wire_equivalence(
     std::uint64_t seed, wire::TransportKind kind, int npes,
     PartitionPolicy policy, bool distmeta = false,
     FaultPlan* faults = nullptr, wire::WireHub* hub = nullptr,
-    std::vector<std::uint8_t>* digest_out = nullptr) {
+    std::vector<std::uint8_t>* digest_out = nullptr, bool overlap = true) {
   AmrSolver<2, Phys> serial(scfg, phys);
   typename RankSolver<2, Phys>::Config rcfg;
   rcfg.solver = scfg;
   rcfg.npes = npes;
   rcfg.policy = policy;
   rcfg.distributed_metadata = distmeta;
+  rcfg.async_topo_delta = overlap;
+  rcfg.hull_prefetch = overlap;
   rcfg.faults = faults;
   rcfg.transport = kind;
   rcfg.wire = hub;
@@ -681,11 +684,6 @@ TEST(WireTransportEnv, EnvOverridesConfigAndTyposFailLoudly) {
 }
 
 TEST(WireTransportEnv, AsyncTopoAndPrefetchKnobs) {
-  const char* oa = std::getenv("AB_ASYNC_TOPO");
-  const char* op = std::getenv("AB_HULL_PREFETCH");
-  const std::string sa = oa ? oa : "", sp = op ? op : "";
-  unsetenv("AB_ASYNC_TOPO");
-  unsetenv("AB_HULL_PREFETCH");
   LinearAdvection<2> phys = advection_phys();
   RankSolver<2, LinearAdvection<2>>::Config rcfg;
   rcfg.solver = advection_cfg();
@@ -704,26 +702,12 @@ TEST(WireTransportEnv, AsyncTopoAndPrefetchKnobs) {
     EXPECT_FALSE(r.async_topo_delta_active());
     EXPECT_FALSE(r.hull_prefetch_active());
   }
-  ASSERT_EQ(setenv("AB_ASYNC_TOPO", "0", 1), 0);
-  ASSERT_EQ(setenv("AB_HULL_PREFETCH", "0", 1), 0);
-  {
-    RankSolver<2, LinearAdvection<2>> r(rcfg, phys);
-    EXPECT_FALSE(r.async_topo_delta_active());  // env wins over config
-    EXPECT_FALSE(r.hull_prefetch_active());
-  }
-  // The equivalence contract holds with the optimizations forced OFF too
-  // (they must be pure overlap/prefetch, never semantics).
+  // The equivalence contract holds with the optimizations switched OFF
+  // too (they must be pure overlap/prefetch, never semantics).
   run_wire_equivalence<LinearAdvection<2>>(
       advection_cfg(), advection_phys(), advection_ic, splitmix64(7777),
-      wire::TransportKind::Shm, 4, PartitionPolicy::Morton, true);
-  unsetenv("AB_ASYNC_TOPO");
-  unsetenv("AB_HULL_PREFETCH");
-  if (oa) {
-    ASSERT_EQ(setenv("AB_ASYNC_TOPO", sa.c_str(), 1), 0);
-  }
-  if (op) {
-    ASSERT_EQ(setenv("AB_HULL_PREFETCH", sp.c_str(), 1), 0);
-  }
+      wire::TransportKind::Shm, 4, PartitionPolicy::Morton, true, nullptr,
+      nullptr, nullptr, /*overlap=*/false);
 }
 
 // -------------------------------------------- real multi-process (SPMD)

@@ -1,6 +1,6 @@
 // BlockPool arena: O(1) acquire/release bookkeeping, address stability
-// under churn, zero-fill on reuse, and the pooled BlockStore mode built on
-// top of it (layout matching, swap, running counters).
+// under churn, zero-fill on reuse, and the BlockStore built on top of it
+// (layout matching, swap, running counters).
 #include "util/block_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -121,7 +121,7 @@ TEST(BlockPool, AddressStabilityUnderChurnFuzz) {
   EXPECT_GT(pool.stats().reuse_hits, 0);
 }
 
-// --- Pooled BlockStore mode ---------------------------------------------
+// --- BlockStore over a pool -----------------------------------------------
 
 TEST(BlockStorePool, RejectsLayoutMismatchedPool) {
   BlockLayout<2> lay(IVec<2>(8), 2, 3);
@@ -148,7 +148,7 @@ TEST(BlockStorePool, EnsureReleaseReuseMatchesMallocSemantics) {
   EXPECT_EQ(store.view(3).at(1, IVec<2>{0, 0}), 7.0);
   store.release(3);
   EXPECT_FALSE(store.has(3));
-  store.release(3);  // no-op on absent id, like the malloc path
+  store.release(3);  // no-op on absent id
   store.ensure(3);   // recycled slab comes back zero-filled
   EXPECT_EQ(store.view(3).at(1, IVec<2>{0, 0}), 0.0);
   EXPECT_EQ(pool->stats().reuse_hits, 1);
@@ -169,7 +169,7 @@ TEST(BlockStorePool, SwapBlockAndWholeStoreSwapAcrossSharedPool) {
   EXPECT_EQ(b.view(0).base, pa);  // O(1) handle swap, no copy
   std::swap(a, b);
   EXPECT_EQ(a.view(0).at(0, IVec<2>{0, 0}), 1.0);
-  // A pooled and a malloc'd store must not swap blocks.
+  // A store over a private pool must not swap blocks with them.
   BlockStore<2> c(lay);
   c.ensure(0);
   EXPECT_THROW(a.swap_block(c, 0), Error);
@@ -183,6 +183,7 @@ TEST(BlockStorePool, RunningCountersMatchScanBothModes) {
   BlockLayout<3> lay(IVec<3>(4), 1, 2);
   auto pool = std::make_shared<BlockPool>(lay.block_doubles());
   ab::testing::SplitMix64 rng(0xc0117e5ull);
+  // Mode 0: the store's own private pool; mode 1: a shared one.
   for (int mode = 0; mode < 2; ++mode) {
     BlockStore<3> store = mode == 0 ? BlockStore<3>(lay)
                                     : BlockStore<3>(lay, pool);

@@ -1,8 +1,11 @@
 // TaskGraph: dependency-ordered execution, deterministic serial FIFO
-// fallback, reuse across runs, and cycle detection.
+// fallback, reuse across runs, cycle detection, and real concurrency of the
+// threaded drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "util/task_graph.hpp"
@@ -138,146 +141,34 @@ TEST(TaskGraph, RejectsBadDependencyIds) {
   EXPECT_THROW(g.depends(-1, a), Error);
 }
 
-// --- Work-stealing mode --------------------------------------------------
-
-TEST(TaskGraphStealing, DiamondRespectsDependencies) {
+TEST(TaskGraph, ThreadedDrainRunsTasksConcurrently) {
+  // Rendezvous: two independent tasks each wait (bounded) for the other to
+  // start. A drain that runs every task on one thread leaves the first one
+  // waiting alone until its deadline, so this fails instead of hanging.
+  // The graph has more tasks than kSerialCutoff so the pool really fans
+  // the drain out.
   ThreadPool pool(4);
   TaskGraph g;
-  g.set_mode(TaskGraph::Mode::WorkStealing);
-  EXPECT_EQ(g.mode(), TaskGraph::Mode::WorkStealing);
-  std::atomic<int> stage{0};
-  std::atomic<bool> bad{false};
-  const int top = g.add([&] { stage.store(1); });
-  auto mid = [&] {
-    if (stage.load() < 1) bad.store(true);
+  constexpr int kN = 4 * static_cast<int>(ThreadPool::kSerialCutoff);
+  std::atomic<int> arrived{0};
+  std::thread::id who[2];
+  bool met[2] = {false, false};
+  auto meet = [&](int k) {
+    who[k] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    met[k] = arrived.load() >= 2;
   };
-  const int left = g.add(mid);
-  const int right = g.add(mid);
-  const int bottom = g.add([&] {
-    if (stage.load() < 1) bad.store(true);
-    stage.store(2);
-  });
-  g.depends(left, top);
-  g.depends(right, top);
-  g.depends(bottom, left);
-  g.depends(bottom, right);
+  g.add([&] { meet(0); });
+  g.add([&] { meet(1); });
+  for (int i = 2; i < kN; ++i) g.add([] {});
   g.run(&pool);
-  EXPECT_FALSE(bad.load());
-  EXPECT_EQ(stage.load(), 2);
-}
-
-TEST(TaskGraphStealing, SerialFallbackStillFifo) {
-  // Without a pool the stealing mode degrades to the same deterministic
-  // serial FIFO as SharedRing — there is nobody to steal from.
-  TaskGraph g;
-  g.set_mode(TaskGraph::Mode::WorkStealing);
-  std::vector<int> order;
-  const int a = g.add([&] { order.push_back(0); });
-  const int b = g.add([&] { order.push_back(1); });
-  const int c = g.add([&] { order.push_back(2); });
-  g.depends(b, a);
-  g.depends(c, a);
-  g.run(nullptr);
-  ASSERT_EQ(order, (std::vector<int>{0, 1, 2}));
-  (void)b;
-  (void)c;
-}
-
-TEST(TaskGraphStealing, ChainExecutesInOrderThreaded) {
-  // A pure chain has exactly one ready task at any moment; workers must
-  // hand it across deques via steals without ever running it twice.
-  ThreadPool pool(4);
-  TaskGraph g;
-  g.set_mode(TaskGraph::Mode::WorkStealing);
-  constexpr int kN = 64;
-  std::vector<int> order;
-  std::vector<int> ids;
-  for (int i = 0; i < kN; ++i)
-    ids.push_back(g.add([&order, i] { order.push_back(i); }));
-  for (int i = 1; i < kN; ++i) g.depends(ids[i], ids[i - 1]);
-  g.run(&pool);
-  ASSERT_EQ(static_cast<int>(order.size()), kN);
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(TaskGraphStealing, ManyRootsManyDepsStressAndReuse) {
-  ThreadPool pool(4);
-  TaskGraph g;
-  g.set_mode(TaskGraph::Mode::WorkStealing);
-  constexpr int kLayers = 8, kWidth = 16;
-  std::vector<std::vector<int>> id(kLayers, std::vector<int>(kWidth));
-  static std::atomic<int> done[kLayers][kWidth];
-  std::atomic<bool> bad{false};
-  std::atomic<int> runs{0};
-  for (int l = 0; l < kLayers; ++l)
-    for (int w = 0; w < kWidth; ++w) {
-      id[l][w] = g.add([&bad, &runs, l, w] {
-        if (l > 0) {
-          if (done[l - 1][w].load() == 0) bad.store(true);
-          if (done[l - 1][(w * 7 + 3) % kWidth].load() == 0) bad.store(true);
-        }
-        done[l][w].store(1);
-        runs.fetch_add(1);
-      });
-      if (l > 0) {
-        g.depends(id[l][w], id[l - 1][w]);
-        g.depends(id[l][w], id[l - 1][(w * 7 + 3) % kWidth]);
-      }
-    }
-  for (int r = 0; r < 20; ++r) {
-    for (int l = 0; l < kLayers; ++l)
-      for (int w = 0; w < kWidth; ++w) done[l][w].store(0);
-    runs.store(0);
-    g.run(&pool);
-    EXPECT_FALSE(bad.load());
-    EXPECT_EQ(runs.load(), kLayers * kWidth);  // every task exactly once
-    for (int l = 0; l < kLayers; ++l)
-      for (int w = 0; w < kWidth; ++w) EXPECT_EQ(done[l][w].load(), 1);
-  }
-}
-
-TEST(TaskGraphStealing, MatchesSharedRingOutput) {
-  // Both threaded modes compute the same result when tasks write disjoint
-  // slots — the bitwise-determinism contract the solver relies on.
-  ThreadPool pool(4);
-  constexpr int kN = 128;
-  std::vector<double> ring(kN), steal(kN);
-  for (int mode = 0; mode < 2; ++mode) {
-    std::vector<double>& out = mode == 0 ? ring : steal;
-    TaskGraph g;
-    g.set_mode(mode == 0 ? TaskGraph::Mode::SharedRing
-                         : TaskGraph::Mode::WorkStealing);
-    std::vector<int> ids;
-    for (int i = 0; i < kN; ++i)
-      ids.push_back(g.add([&out, i] { out[i] += 0.1 * i + 1.0; }));
-    for (int i = 4; i < kN; ++i) g.depends(ids[i], ids[i - 4]);
-    for (int r = 0; r < 3; ++r) g.run(&pool);
-  }
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(ring[i], steal[i]);
-}
-
-TEST(TaskGraphStealing, DetectsCycleSerially) {
-  TaskGraph g;
-  g.set_mode(TaskGraph::Mode::WorkStealing);
-  const int a = g.add([] {});
-  const int b = g.add([] {});
-  g.depends(b, a);
-  g.depends(a, b);
-  EXPECT_THROW(g.run(nullptr), Error);
-}
-
-TEST(TaskGraphStealing, MoreWorkersThanTasks) {
-  // Deques outnumber tasks: most workers find nothing and must park
-  // without deadlocking the drain.
-  ThreadPool pool(4);
-  TaskGraph g;
-  g.set_mode(TaskGraph::Mode::WorkStealing);
-  std::atomic<int> count{0};
-  const int a = g.add([&] { count.fetch_add(1); });
-  const int b = g.add([&] { count.fetch_add(1); });
-  g.depends(b, a);
-  for (int r = 0; r < 50; ++r) g.run(&pool);
-  EXPECT_EQ(count.load(), 100);
+  EXPECT_TRUE(met[0]) << "task 0 never saw task 1 start";
+  EXPECT_TRUE(met[1]) << "task 1 never saw task 0 start";
+  EXPECT_NE(who[0], who[1]);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace ab {
@@ -77,6 +78,29 @@ TEST(ThreadPool, LargeChunkingStillCoversAll) {
   std::vector<std::atomic<int>> hits(n);
   pool.parallel_for(n, [&](std::int64_t i) { hits[i].fetch_add(1); });
   for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, BackToBackLoopsUnderOversubscription) {
+  // Three pools of 4 driven at once oversubscribe the cores, so a worker
+  // is often preempted between waking for one loop and claiming work. It
+  // must never run an index of the caller's next loop through the
+  // previous loop's (dead) body: every index of every loop runs once.
+  std::atomic<int> bad{0};
+  auto drive = [&bad] {
+    ThreadPool pool(4);
+    for (int c = 0; c < 20000; ++c) {
+      std::atomic<int> hits[8] = {};
+      pool.parallel_for(
+          8, [&hits](std::int64_t i) { hits[i].fetch_add(1); }, 1);
+      for (const auto& h : hits)
+        if (h.load() != 1) bad.fetch_add(1);
+    }
+  };
+  std::thread a(drive), b(drive), c(drive);
+  a.join();
+  b.join();
+  c.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 }  // namespace

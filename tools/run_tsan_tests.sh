@@ -16,7 +16,7 @@ cmake -B "$build_dir" -S "$repo_root" \
 
 targets=(thread_pool_test task_graph_test block_pool_test ghost_test
          ghost_batch_test parallel_solver_test amr_solver_test
-         subcycling_test determinism_test substrate_determinism_test
+         subcycling_test determinism_test
          checkpoint_corruption_test fault_test
          tune_probe_test tune_cache_test reblocking_test
          topo_codec_test local_topology_test
@@ -25,9 +25,11 @@ targets=(thread_pool_test task_graph_test block_pool_test ghost_test
 cmake --build "$build_dir" -j --target "${targets[@]}"
 
 # The fault suite rides along: recovery rebuilds solver state wholesale,
-# which is exactly where a latent race would hide. The substrate suite
-# exercises the work-stealing deques and the pooled stores under threaded
-# steppers — the two new places a data race could live. The tune suite runs
+# which is exactly where a latent race would hide. The task-graph suite
+# includes a rendezvous test that fails unless a threaded drain really runs
+# two tasks on different OS threads at once, so its TSan coverage is not
+# vacuous; the pool suites cover the slab arena behind every store under
+# the threaded steppers. The tune suite runs
 # probe sweeps and autotuned solvers whose sub-blocked tiling feeds the
 # threaded task graph. The distmeta suite (topology codec + per-rank local
 # topology) is single-threaded today but rebuilds shared-looking state on
@@ -41,4 +43,4 @@ cmake --build "$build_dir" -j --target "${targets[@]}"
 # live) — the shm ring's acquire/release pairing is exactly the kind of
 # ordering bug only TSan sees.
 ctest --test-dir "$build_dir" --output-on-failure \
-  -R 'ThreadPool|TaskGraph|BlockPool|BlockStorePool|Ghost|ParallelSolver|AmrSolver|Subcycling|Determinism|SubstrateDeterminism|CheckpointCorruption|FaultPlan|FaultyWire|Recovery|Tune|ReBlocking|TopoCodec|TopoDelta|LocalTopology|Tracer|ChromeTraceJson|PhaseScope|MsgTrace|SpanContext|MsgPhase|PrometheusText|DumpMetrics|MetricsServer|SpanConservation|Wire'
+  -R 'ThreadPool|TaskGraph|BlockPool|BlockStorePool|Ghost|ParallelSolver|AmrSolver|Subcycling|Determinism|CheckpointCorruption|FaultPlan|FaultyWire|Recovery|Tune|ReBlocking|TopoCodec|TopoDelta|LocalTopology|Tracer|ChromeTraceJson|PhaseScope|MsgTrace|SpanContext|MsgPhase|PrometheusText|DumpMetrics|MetricsServer|SpanConservation|Wire'

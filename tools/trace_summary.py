@@ -16,9 +16,11 @@ as tools/critical_path.py. For a step report, the summary shows run totals
 with their share of summed step wall time, final gauge values, and — for
 rank-parallel runs — per-rank traffic totals. ab.critical_path.v1 files
 (from --critical-path= or critical_path.py --json) are rendered directly.
-Files whose schema is not recognized exit non-zero with a clear message.
+Files whose schema is not recognized exit non-zero with a clear message;
+a missing or unreadable file exits non-zero with one `error:` line.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -211,7 +213,7 @@ def summarize_report(path, records):
               + "  ".join(f"{k}={v}" for k, v in sorted(robustness.items())))
 
     # Block-pool substrate: cumulative slab traffic (counters) plus the
-    # final arena shape (gauges). Absent entirely for malloc-backed runs.
+    # final arena shape (gauges). Older reports may not carry them.
     pool = {k: v for k, v in counters.items() if k.startswith("pool.")}
     pool.update({k: v for k, v in gauges.items() if k.startswith("pool.")})
     if pool:
@@ -287,12 +289,20 @@ def summarize_report(path, records):
 
 
 def main():
-    if len(sys.argv) < 2:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+    p = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    p.add_argument("files", nargs="+", metavar="FILE",
+                   help="Chrome trace JSON, StepReport JSONL, or "
+                        "ab.critical_path.v1 file")
+    args = p.parse_args()
     status = 0
-    for path in sys.argv[1:]:
-        doc = load_json_doc(path)
+    for path in args.files:
+        try:
+            doc = load_json_doc(path)
+        except (OSError, UnicodeDecodeError) as e:
+            sys.exit(f"error: cannot read {path}: "
+                     f"{getattr(e, 'strerror', None) or e}")
         if isinstance(doc, dict) and "schema" in doc:
             if doc["schema"] == "ab.critical_path.v1":
                 summarize_critical_path(path, doc)
