@@ -17,6 +17,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -237,6 +238,10 @@ class AmrSolver {
     }
     double dt = 1e300;
     for (std::size_t i = 0; i < leaves.size(); ++i) {
+      AB_REQUIRE(std::isfinite(wave[i]),
+                 "compute_dt: non-finite wave speed in block " +
+                     std::to_string(leaves[i]) +
+                     " (a NaN, infinite or negative-density cell)");
       AB_REQUIRE(wave[i] > 0.0, "compute_dt: zero wave speed");
       double block_dt = cfg_.cfl / wave[i];
       if (cfg_.subcycling)

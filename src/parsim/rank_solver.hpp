@@ -26,11 +26,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -290,6 +292,10 @@ class RankSolver {
       const RVec<D> dx = cell_dx(forest_.level(id));
       const double wave = block_wave_speed_sum<D, Phys>(
           layout_, block_view(id).base, phys_, dx);
+      AB_REQUIRE(std::isfinite(wave),
+                 "compute_dt: non-finite wave speed in block " +
+                     std::to_string(id) +
+                     " (a NaN, infinite or negative-density cell)");
       AB_REQUIRE(wave > 0.0, "compute_dt: zero wave speed");
       dt = std::min(dt, cfg_.solver.cfl / wave);
     }

@@ -124,7 +124,7 @@ struct Euler {
     // latch non-empty and blocks vectorization.
     const double g = gamma;
     const double gm1 = g - 1.0;
-    for (int i = 0; i < nf; ++i) {
+    for (int i = 0; i < nf; ++i) {  // must-vectorize
       const double rl = rhoL[i];
       const double rr = rhoR[i];
       const double el = engL[i];

@@ -8,9 +8,9 @@
 // contiguous, 64-byte-aligned scratch lanes (one flat double lane per
 // variable). Each cell's limited slope is computed once per dimension and
 // shared by the two faces that read it — the scalar reference
-// (kernel_reference.hpp) recomputes it per face. Results are bitwise
-// identical to the reference: both paths evaluate the same arithmetic on
-// the same values in the same per-cell order.
+// (tests/support/kernel_reference.hpp) recomputes it per face. Results are
+// bitwise identical to the reference: both paths evaluate the same
+// arithmetic on the same values in the same per-cell order.
 //
 // All stencils offset along one dimension at a time, so only face ghosts are
 // required (see ghost.hpp): g >= 1 for first order, g >= 2 for second.
@@ -20,10 +20,12 @@
 // operation count for the parallel machine model.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "core/block_store.hpp"
@@ -256,7 +258,7 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
           const double* AB_RESTRICT s = sA + v * lane;
           double* AB_RESTRICT l = qL + v * lane;
           double* AB_RESTRICT r = qR + v * lane;
-          for (int i = 0; i < nf0; ++i) {
+          for (int i = 0; i < nf0; ++i) {  // must-vectorize
             l[i] = u[i - 1] + 0.5 * s[i];
             r[i] = u[i] - 0.5 * s[i + 1];
           }
@@ -275,8 +277,12 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
       for (int v = 0; v < NV; ++v) {
         double* AB_RESTRICT o = uout + v * fs + roff;
         const double* AB_RESTRICT f = Fl + v * lane;
-        for (int t = 0; t < n0; ++t) o[t] += lambda * f[t];
-        for (int t = 0; t < n0; ++t) o[t] -= lambda * f[t + 1];
+        for (int t = 0; t < n0; ++t) {  // must-vectorize
+          o[t] += lambda * f[t];
+        }
+        for (int t = 0; t < n0; ++t) {  // must-vectorize
+          o[t] -= lambda * f[t + 1];
+        }
       }
     });
   }
@@ -317,7 +323,7 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
             const double* AB_RESTRICT sr = sR + v * lane;
             double* AB_RESTRICT l = qL + v * lane;
             double* AB_RESTRICT r = qR + v * lane;
-            for (int t = 0; t < n0; ++t) {
+            for (int t = 0; t < n0; ++t) {  // must-vectorize
               l[t] = ul[t] + 0.5 * sl[t];
               r[t] = ur[t] - 0.5 * sr[t];
             }
@@ -342,14 +348,18 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
           for (int v = 0; v < NV; ++v) {
             double* AB_RESTRICT o = uout + v * fs + offR;
             const double* AB_RESTRICT f = Fl + v * lane;
-            for (int t = 0; t < n0; ++t) o[t] += lambda * f[t];
+            for (int t = 0; t < n0; ++t) {  // must-vectorize
+              o[t] += lambda * f[t];
+            }
           }
         }
         if (j > jlo) {  // left cell row is in the update region
           for (int v = 0; v < NV; ++v) {
             double* AB_RESTRICT o = uout + v * fs + offL;
             const double* AB_RESTRICT f = Fl + v * lane;
-            for (int t = 0; t < n0; ++t) o[t] -= lambda * f[t];
+            for (int t = 0; t < n0; ++t) {  // must-vectorize
+              o[t] -= lambda * f[t];
+            }
           }
         }
         if (second && j < jhi) {
@@ -364,21 +374,14 @@ std::uint64_t fv_block_update(const BlockLayout<D>& lay, const double* uin,
     });
   }
 
-  // Non-conservative source terms (Powell eight-wave for MHD).
+  // Non-conservative source terms (Powell eight-wave for MHD), one dim-0
+  // pencil of the update region at a time.
   if constexpr (Phys::kHasSource) {
-    using State = typename Phys::State;
-    for_each_cell<D>(interior, [&](IVec<D> p) {
+    std::array<std::int64_t, D> strides;
+    for (int d = 0; d < D; ++d) strides[d] = lay.stride(d);
+    for_each_row<D>(interior, [&](IVec<D> p, int n) {
       const std::int64_t off = lay.offset(p);
-      const State u = detail::load_state<Phys>(uin, fs, off);
-      std::array<State, 2 * D> nbrs;
-      for (int d = 0; d < D; ++d) {
-        const std::int64_t s = lay.stride(d);
-        nbrs[2 * d + 0] = detail::load_state<Phys>(uin, fs, off - s);
-        nbrs[2 * d + 1] = detail::load_state<Phys>(uin, fs, off + s);
-      }
-      State du{};
-      phys.add_source(u, nbrs, dx, dt, du);
-      for (int v = 0; v < Phys::NVAR; ++v) uout[v * fs + off] += du[v];
+      phys.add_source_row(uin + off, fs, strides, dx, dt, uout + off, n);
     });
   }
 
@@ -438,21 +441,43 @@ std::uint64_t fv_block_update_tiled(
 
 /// Largest signal speed divided by cell size over the block interior; the
 /// stable timestep is cfl / (sum over dims of this per-dim bound). We return
-/// max over cells of sum over dims, suiting the unsplit update.
+/// max over cells of sum over dims, suiting the unsplit update. A cell whose
+/// speed is NaN (a NaN or negative-density state) makes the result NaN
+/// rather than vanishing from the max, so callers can reject it.
+///
+/// Physics with a row form (`wave_speed_row`, bitwise equal to the
+/// per-cell max_speed sum) evaluate each dim-0 pencil into a lane first.
 template <int D, class Phys>
 double block_wave_speed_sum(const BlockLayout<D>& lay, const double* uin,
                             const Phys& phys, const RVec<D>& dx) {
   const std::int64_t fs = lay.field_stride();
   double worst = 0.0;
-  for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
-    const std::int64_t off = lay.offset(p);
-    const typename Phys::State u = detail::load_state<Phys>(uin, fs, off);
-    double s = 0.0;
-    for (int dim = 0; dim < D; ++dim)
-      s += phys.max_speed(u, dim) / dx[dim];
+  bool any_nan = false;
+  auto fold = [&](double s) {
     worst = std::max(worst, s);
-  });
-  return worst;
+    any_nan |= s != s;
+  };
+  if constexpr (requires(double* lane) {
+                  phys.wave_speed_row(uin, fs, dx, lane, 0);
+                }) {
+    static thread_local AlignedScratch tls_scratch;
+    double* lane =
+        tls_scratch.acquire(static_cast<std::size_t>(lay.interior[0]));
+    for_each_row<D>(lay.interior_box(), [&](IVec<D> p, int n) {
+      phys.wave_speed_row(uin + lay.offset(p), fs, dx, lane, n);
+      for (int i = 0; i < n; ++i) fold(lane[i]);
+    });
+  } else {
+    for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
+      const std::int64_t off = lay.offset(p);
+      const typename Phys::State u = detail::load_state<Phys>(uin, fs, off);
+      double s = 0.0;
+      for (int dim = 0; dim < D; ++dim)
+        s += phys.max_speed(u, dim) / dx[dim];
+      fold(s);
+    });
+  }
+  return any_nan ? std::numeric_limits<double>::quiet_NaN() : worst;
 }
 
 }  // namespace ab

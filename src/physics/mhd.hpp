@@ -10,6 +10,7 @@
 // E = p/(gamma-1) + rho |v|^2 / 2 + |B|^2 / 2   (units with mu0 = 1).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -150,6 +151,11 @@ struct IdealMhd {
   /// 0.5*(x + |x|), which differs only in the sign of a zero the downstream
   /// arithmetic cannot observe. The sweep direction is a template parameter
   /// so component selection is resolved at compile time.
+  ///
+  /// Once inlined, the 24 lanes need more run-time alias checks than the
+  /// 10 GCC versions a loop on, so without AB_IVDEP the loop stays scalar
+  /// (`__restrict__` alone is not enough); tools/check_vectorization.sh
+  /// fails if it does.
   template <int dirc>
   void rusanov_flux_row_impl(const double* AB_RESTRICT pL, std::int64_t sL,
                              const double* AB_RESTRICT pR, std::int64_t sR,
@@ -189,7 +195,8 @@ struct IdealMhd {
     // (the F stores could alias *this) and block vectorization.
     const double g = gamma;
     const double gm1 = g - 1.0;
-    for (int i = 0; i < nf; ++i) {
+    AB_IVDEP
+    for (int i = 0; i < nf; ++i) {  // must-vectorize
       const double rl = rhoL[i];
       const double rr = rhoR[i];
       const double el = engL[i];
@@ -324,6 +331,116 @@ struct IdealMhd {
       du[imag(i)] += c * u[imom(i)] * inv_rho;
     }
     du[ieng()] += c * vdotb;
+  }
+
+  /// Row form of add_source over the `n` cells of one dim-0 pencil: cell
+  /// i's variable v is read from u[v*fs + i], its face neighbors along d
+  /// from u[v*fs + i -+ stride[d]], and its increment is added to
+  /// out[v*fs + i]. Evaluates exactly add_source's expressions in the same
+  /// order — including the `0.0 +` accumulations into add_source's zeroed
+  /// increment and the zero added to density — so the bits match the
+  /// per-cell form, which stays the reference.
+  void add_source_row(const double* AB_RESTRICT u, std::int64_t fs,
+                      const std::array<std::int64_t, D>& stride,
+                      const RVec<D>& dx, double dt, double* AB_RESTRICT out,
+                      int n) const {
+    const double* AB_RESTRICT rho = u + irho() * fs;
+    const double* AB_RESTRICT m0 = u + imom(0) * fs;
+    const double* AB_RESTRICT m1 = u + imom(1) * fs;
+    const double* AB_RESTRICT m2 = u + imom(2) * fs;
+    const double* AB_RESTRICT b0 = u + imag(0) * fs;
+    const double* AB_RESTRICT b1 = u + imag(1) * fs;
+    const double* AB_RESTRICT b2 = u + imag(2) * fs;
+    // Central-difference div B: field component d of the two d-neighbors.
+    const double* AB_RESTRICT bxm = b0 - stride[0];
+    const double* AB_RESTRICT bxp = b0 + stride[0];
+    const double* AB_RESTRICT bym = b1 - stride[1];
+    const double* AB_RESTRICT byp = b1 + stride[1];
+    const double* AB_RESTRICT bzm = D == 3 ? b2 - stride[D - 1] : b2;
+    const double* AB_RESTRICT bzp = D == 3 ? b2 + stride[D - 1] : b2;
+    double* AB_RESTRICT orho = out + irho() * fs;
+    double* AB_RESTRICT om0 = out + imom(0) * fs;
+    double* AB_RESTRICT om1 = out + imom(1) * fs;
+    double* AB_RESTRICT om2 = out + imom(2) * fs;
+    double* AB_RESTRICT ob0 = out + imag(0) * fs;
+    double* AB_RESTRICT ob1 = out + imag(1) * fs;
+    double* AB_RESTRICT ob2 = out + imag(2) * fs;
+    double* AB_RESTRICT oeng = out + ieng() * fs;
+    const double w0 = 2.0 * dx[0];
+    const double w1 = 2.0 * dx[1];
+    const double w2 = 2.0 * dx[D - 1];
+    const double mdt = -dt;
+    AB_IVDEP
+    for (int i = 0; i < n; ++i) {  // must-vectorize
+      double divb = 0.0;
+      divb += (bxp[i] - bxm[i]) / w0;
+      divb += (byp[i] - bym[i]) / w1;
+      if constexpr (D == 3) divb += (bzp[i] - bzm[i]) / w2;
+      const double inv_rho = 1.0 / rho[i];
+      double vdotb = 0.0;
+      vdotb += m0[i] * inv_rho * b0[i];
+      vdotb += m1[i] * inv_rho * b1[i];
+      vdotb += m2[i] * inv_rho * b2[i];
+      const double c = mdt * divb;
+      orho[i] += 0.0;
+      om0[i] += 0.0 + c * b0[i];
+      om1[i] += 0.0 + c * b1[i];
+      om2[i] += 0.0 + c * b2[i];
+      ob0[i] += 0.0 + c * m0[i] * inv_rho;
+      ob1[i] += 0.0 + c * m1[i] * inv_rho;
+      ob2[i] += 0.0 + c * m2[i] * inv_rho;
+      oeng[i] += 0.0 + c * vdotb;
+    }
+  }
+
+  /// Row form of the CFL scan over `n` cells: cell i's variable v is read
+  /// from u[v*fs + i], and out[i] = sum over d of max_speed(u, d) / dx[d],
+  /// the per-cell value block_wave_speed_sum folds. Same expressions as
+  /// max_speed, made branch-free as in rusanov_flux_row_impl (clamps as
+  /// 0.5*(x + |x|), the |lmin|/|lmax| max over bit patterns), so the values
+  /// are bitwise equal and a corrupt state still yields a NaN.
+  void wave_speed_row(const double* AB_RESTRICT u, std::int64_t fs,
+                      const RVec<D>& dx, double* AB_RESTRICT out,
+                      int n) const {
+    const double* AB_RESTRICT rho = u + irho() * fs;
+    const double* AB_RESTRICT eng = u + ieng() * fs;
+    const double* AB_RESTRICT m[3] = {u + imom(0) * fs, u + imom(1) * fs,
+                                      u + imom(2) * fs};
+    const double* AB_RESTRICT b[3] = {u + imag(0) * fs, u + imag(1) * fs,
+                                      u + imag(2) * fs};
+    // Local copies, as in rusanov_flux_row_impl: `out` could alias *this
+    // and `dx`, which would force reloads in the loop.
+    const double g = gamma;
+    const double gm1 = g - 1.0;
+    const RVec<D> h = dx;
+    AB_IVDEP
+    for (int i = 0; i < n; ++i) {  // must-vectorize
+      const double r = rho[i];
+      const double mx = m[0][i], my = m[1][i], mz = m[2][i];
+      const double bx = b[0][i], by = b[1][i], bz = b[2][i];
+      double ke = mx * mx + my * my + mz * mz;
+      const double b2 = bx * bx + by * by + bz * bz;
+      ke *= 0.5 / r;
+      const double p = gm1 * (eng[i] - ke - 0.5 * b2);
+      const double pc = 0.5 * (p + std::fabs(p));
+      const double a2 = g * pc / r;
+      const double ca2 = b2 / r;
+      const double ss = a2 + ca2;
+      double sum = 0.0;
+      for (int d = 0; d < D; ++d) {
+        const double bd = b[d][i];
+        const double cad2 = bd * bd / r;
+        const double disc0 = ss * ss - 4.0 * a2 * cad2;
+        const double disc = 0.5 * (disc0 + std::fabs(disc0));
+        const double cf = std::sqrt(0.5 * (ss + std::sqrt(disc)));
+        const double vd = m[d][i] / r;
+        const std::uint64_t sb =
+            std::max(std::bit_cast<std::uint64_t>(std::fabs(vd - cf)),
+                     std::bit_cast<std::uint64_t>(std::fabs(vd + cf)));
+        sum += std::bit_cast<double>(sb) / h[d];
+      }
+      out[i] = sum;
+    }
   }
 
   /// HLLD approximate Riemann solver (Miyoshi & Kusano, JCP 2005): a

@@ -19,6 +19,19 @@
 #define AB_RESTRICT
 #endif
 
+/// Loop-independence assertion for the row kernels: the next loop carries
+/// no dependence between iterations through memory, so the vectorizer may
+/// skip the run-time alias checks it would otherwise version the loop on.
+/// GCC caps those checks per loop (--param vect-max-version-for-alias-checks,
+/// default 10), which a many-lane row kernel exceeds once it is inlined.
+#if defined(__clang__)
+#define AB_IVDEP _Pragma("clang loop vectorize(assume_safety)")
+#elif defined(__GNUC__)
+#define AB_IVDEP _Pragma("GCC ivdep")
+#else
+#define AB_IVDEP
+#endif
+
 namespace ab {
 
 /// Owning, 64-byte-aligned array of doubles. Move-only.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
@@ -340,6 +341,45 @@ TEST(AmrSolver, BrioWuShockTubeQualitative) {
   EXPECT_NEAR(by_left, 1.0, 1e-6);    // undisturbed far field
   EXPECT_NEAR(by_right, -1.0, 1e-6);
   EXPECT_GT(solver.total_flops(), 0u);
+}
+
+// A corrupt cell (NaN, or rho < 0, whose sound speed is NaN) must stop
+// compute_dt rather than vanish from the CFL max and step at the clean
+// cells' dt.
+template <class Phys>
+void expect_compute_dt_rejects_corrupt_cell(const Phys& phys,
+                                            typename Phys::State clean) {
+  typename AmrSolver<3, Phys>::Config cfg;
+  cfg.forest.root_blocks = {2, 1, 1};
+  cfg.forest.periodic = {true, true, true};
+  cfg.cells_per_block = {4, 4, 4};
+  cfg.num_threads = 2;
+  for (double bad : {std::nan(""), -clean[0]}) {
+    AmrSolver<3, Phys> solver(cfg, phys);
+    solver.init([&](const RVec<3>& x, typename Phys::State& s) {
+      s = clean;
+      if (x[0] > 0.5 && x[0] < 0.625 && x[1] < 0.25 && x[2] < 0.25)
+        s[0] = bad;  // one cell of the second root block
+    });
+    try {
+      solver.compute_dt();
+      ADD_FAILURE() << "compute_dt accepted a corrupt cell (rho = " << bad
+                    << ")";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite wave speed in block"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(AmrSolver, ComputeDtRejectsNonFiniteWaveSpeed) {
+  IdealMhd<3> mhd;
+  expect_compute_dt_rejects_corrupt_cell(
+      mhd, mhd.from_primitive(1.0, {0.1, 0.2, 0.3}, {0.3, 0.2, 0.1}, 1.0));
+  Euler<3> euler;
+  expect_compute_dt_rejects_corrupt_cell(
+      euler, euler.from_primitive(1.0, {0.1, 0.2, 0.3}, 1.0));
 }
 
 TEST(AmrSolver, RejectsBadConfig) {

@@ -511,6 +511,44 @@ TEST(RankSolver, StepCostIsPricedOnTheMachineModel) {
   EXPECT_GE(c.imbalance, 1.0);
 }
 
+// Same contract as AmrSolver::compute_dt: a corrupt cell (NaN, or rho < 0,
+// whose sound speed is NaN) throws instead of vanishing from the CFL max.
+template <class Phys>
+void expect_compute_dt_rejects_corrupt_cell(const Phys& phys,
+                                            typename Phys::State clean) {
+  typename RankSolver<3, Phys>::Config rcfg;
+  rcfg.solver.forest.root_blocks = {2, 1, 1};
+  rcfg.solver.forest.periodic = {true, true, true};
+  rcfg.solver.cells_per_block = {4, 4, 4};
+  rcfg.npes = 2;
+  for (double bad : {std::nan(""), -clean[0]}) {
+    RankSolver<3, Phys> ranks(rcfg, phys);
+    ranks.init([&](const RVec<3>& x, typename Phys::State& s) {
+      s = clean;
+      if (x[0] > 0.5 && x[0] < 0.625 && x[1] < 0.25 && x[2] < 0.25)
+        s[0] = bad;  // one cell of the second root block
+    });
+    try {
+      ranks.compute_dt();
+      ADD_FAILURE() << "compute_dt accepted a corrupt cell (rho = " << bad
+                    << ")";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite wave speed in block"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(RankSolver, ComputeDtRejectsNonFiniteWaveSpeed) {
+  IdealMhd<3> mhd;
+  expect_compute_dt_rejects_corrupt_cell(
+      mhd, mhd.from_primitive(1.0, {0.1, 0.2, 0.3}, {0.3, 0.2, 0.1}, 1.0));
+  Euler<3> euler;
+  expect_compute_dt_rejects_corrupt_cell(
+      euler, euler.from_primitive(1.0, {0.1, 0.2, 0.3}, 1.0));
+}
+
 TEST(RankSolver, RejectsUnsupportedModes) {
   LinearAdvection<2> phys = advection_phys();
   RankSolver<2, LinearAdvection<2>>::Config rcfg;

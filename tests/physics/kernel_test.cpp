@@ -7,6 +7,7 @@
 
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
+#include "physics/mhd.hpp"
 #include "util/aligned.hpp"
 
 namespace ab {
@@ -177,6 +178,35 @@ TEST(Kernel, WaveSpeedSumMatchesAnalytic) {
   EXPECT_NEAR((block_wave_speed_sum<2, Euler<2>>(lay, u.data(), phys,
                                                  {0.5, 0.25})),
               expect, 1e-12);
+}
+
+// std::max drops NaN operands; the scan must not, or one corrupt cell
+// would leave the block's CFL bound at the clean cells' value.
+template <class Phys>
+void expect_corrupt_cell_poisons_scan(const Phys& phys,
+                                      const typename Phys::State& clean) {
+  BlockLayout<3> lay(IVec<3>(4), 2, Phys::NVAR);
+  AlignedBuffer u(lay.block_doubles());
+  fill_block<3>(lay, u.data(), [&](IVec<3>, int v) { return clean[v]; });
+  const RVec<3> dx(0.1);
+  const double ok = block_wave_speed_sum<3, Phys>(lay, u.data(), phys, dx);
+  EXPECT_TRUE(std::isfinite(ok) && ok > 0.0) << ok;
+  double& rho = u[static_cast<std::size_t>(lay.offset(IVec<3>{1, 2, 3}))];
+  rho = std::nan("");
+  EXPECT_TRUE(std::isnan(block_wave_speed_sum<3, Phys>(lay, u.data(), phys,
+                                                       dx)));
+  rho = -clean[0];  // negative density: the sound speed is sqrt(< 0)
+  EXPECT_TRUE(std::isnan(block_wave_speed_sum<3, Phys>(lay, u.data(), phys,
+                                                       dx)));
+}
+
+TEST(Kernel, WaveSpeedSumPropagatesCorruptCells) {
+  IdealMhd<3> mhd;
+  expect_corrupt_cell_poisons_scan(
+      mhd, mhd.from_primitive(1.0, {0.1, 0.2, 0.3}, {0.3, 0.2, 0.1}, 1.0));
+  Euler<3> euler;
+  expect_corrupt_cell_poisons_scan(
+      euler, euler.from_primitive(1.0, {0.1, 0.2, 0.3}, 1.0));
 }
 
 TEST(Kernel, PaddedLayoutGivesSameAnswer) {
