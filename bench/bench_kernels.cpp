@@ -1,11 +1,13 @@
 // Kernel microbenchmarks (google-benchmark): per-cell throughput of the
 // building blocks Figure 5 composes — the physics update kernels at both
-// orders, the ghost-exchange phases, and prolongation/restriction — plus
-// BM_SolverStep, an end-to-end driver step that tracks how well ghost
-// exchange overlaps with interior compute across thread counts.
+// orders, the ghost-exchange phases and their cross-rank pack/unpack form,
+// the CFL scans — plus BM_SolverStep, an end-to-end solver step that tracks
+// how well ghost exchange overlaps with interior compute across thread
+// counts.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "amr/criteria.hpp"
 #include "amr/solver.hpp"
@@ -106,15 +108,20 @@ void BM_GhostFillUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_GhostFillUniform)->Arg(8)->Arg(16);
 
-void BM_GhostFillMixedLevels(benchmark::State& state) {
-  // Exchange on a mixed-level forest: copies + restrictions + prolongs.
-  const int m = static_cast<int>(state.range(0));
+/// A mixed-level forest: copies + restrictions + prolongs.
+Forest<3> mixed_level_forest() {
   Forest<3>::Config fc;
   fc.root_blocks = IVec<3>(2);
   fc.max_level = 2;
   Forest<3> forest(fc);
   forest.refine(forest.find(0, {0, 0, 0}));
   forest.refine(forest.find(1, {1, 1, 1}));
+  return forest;
+}
+
+void BM_GhostFillMixedLevels(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  Forest<3> forest = mixed_level_forest();
   BlockLayout<3> lay(IVec<3>(m), 2, 8);
   BlockStore<3> store(lay);
   for (int id : forest.leaves()) store.ensure(id);
@@ -123,6 +130,44 @@ void BM_GhostFillMixedLevels(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * gx.total_cells());
 }
 BENCHMARK(BM_GhostFillMixedLevels)->Arg(8)->Arg(16);
+
+void BM_GhostPackUnpack(benchmark::State& state) {
+  // The cross-rank message path on BM_GhostFillMixedLevels' grid: every op
+  // packed (sender-side copy/restrict/prolong into one message buffer) and
+  // unpacked (row copies into the destination ghosts), phase by phase as
+  // BufferedExchange runs it. Items are ghost cells, as in the fills.
+  const int m = static_cast<int>(state.range(0));
+  Forest<3> forest = mixed_level_forest();
+  BlockLayout<3> lay(IVec<3>(m), 2, 8);
+  BlockStore<3> store(lay);
+  for (int id : forest.leaves()) store.ensure(id);
+  GhostExchanger<3> gx(forest, lay);
+  std::vector<double> buf(
+      static_cast<std::size_t>(gx.total_cells() * lay.nvar));
+  const std::vector<int>& order = gx.exec_order();
+  auto run_phase = [&](std::size_t lo, std::size_t hi) {
+    double* cursor = buf.data();
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto& op = gx.ops()[static_cast<std::size_t>(order[i])];
+      gx.pack_op(store, op, cursor);
+      cursor += gx.op_payload_doubles(op);
+    }
+    cursor = buf.data();
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto& op = gx.ops()[static_cast<std::size_t>(order[i])];
+      gx.unpack_op(store, op, cursor);
+      cursor += gx.op_payload_doubles(op);
+    }
+  };
+  const auto split = static_cast<std::size_t>(gx.phase1_count());
+  for (auto _ : state) {
+    run_phase(0, split);
+    run_phase(split, order.size());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * gx.total_cells());
+}
+BENCHMARK(BM_GhostPackUnpack)->Arg(8)->Arg(16);
 
 void BM_SolverStep(benchmark::State& state) {
   // Whole Heun step (two ghost fills + two stage sweeps + combine) on a
@@ -173,6 +218,21 @@ void BM_WaveSpeedScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * lay.interior_cells());
 }
 BENCHMARK(BM_WaveSpeedScan);
+
+void BM_EulerWaveSpeedScan(benchmark::State& state) {
+  Euler<3> phys;
+  BlockLayout<3> lay(IVec<3>(16), 2, Euler<3>::NVAR);
+  AlignedBuffer u(lay.block_doubles());
+  fill_uniform<Euler<3>>(lay, u.data(),
+                         phys.from_primitive(1.0, {0.5, 0.1, -0.2}, 1.0));
+  const RVec<3> dx{0.01, 0.01, 0.01};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        block_wave_speed_sum<3, Euler<3>>(lay, u.data(), phys, dx));
+  }
+  state.SetItemsProcessed(state.iterations() * lay.interior_cells());
+}
+BENCHMARK(BM_EulerWaveSpeedScan);
 
 }  // namespace
 

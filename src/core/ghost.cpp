@@ -139,10 +139,6 @@ void GhostExchanger<D>::rebuild() {
     for (int dim = 0; dim < D; ++dim)
       for (int side = 0; side < 2; ++side) plan_face(id, dim, side);
 
-  ops_by_dst_.assign(forest_->node_capacity(), {});
-  for (int i = 0; i < static_cast<int>(ops_.size()); ++i)
-    ops_by_dst_[ops_[i].dst].push_back(i);
-
   // Batched execution order: group by kind (SameCopy, Restrict, Prolong),
   // then by destination, so fill() runs each kind's tight loop back to back
   // and writes each destination's ghost ring in one burst. ops_ itself
@@ -221,68 +217,31 @@ void GhostExchanger<D>::rebuild() {
 
 namespace {
 
-/// Evaluate one op from the source data, emitting (var, cell, value) in a
-/// deterministic order (vars outer, dst_box cells inner). Backs the
-/// sender-side message pack and the reference executor the batched row
-/// paths are tested against.
-template <int D, class Emit>
-void compute_op(const BlockLayout<D>& layout, Prolongation prolongation,
-                const ConstBlockView<D>& src, const GhostOp<D>& op,
-                Emit&& emit) {
-  const int nvar = layout.nvar;
-  switch (op.kind) {
-    case GhostOpKind::SameCopy:
-      for (int v = 0; v < nvar; ++v)
-        for_each_cell<D>(op.dst_box, [&](IVec<D> q) {
-          emit(v, q, src.at(v, q + op.a));
-        });
-      break;
-    case GhostOpKind::Restrict:
-      for (int v = 0; v < nvar; ++v)
-        for_each_cell<D>(op.dst_box, [&](IVec<D> q) {
-          emit(v, q, restrict_value<D>(src, v, q.shifted_left(1) + op.a));
-        });
-      break;
-    case GhostOpKind::Prolong:
-      for (int v = 0; v < nvar; ++v)
-        for_each_cell<D>(op.dst_box, [&](IVec<D> q) {
-          IVec<D> gf = q + op.a;  // global fine index (unwrapped)
-          IVec<D> cc, parity;
-          for (int d = 0; d < D; ++d) {
-            cc[d] = (gf[d] >> 1) - op.b[d];
-            parity[d] = gf[d] & 1;
-          }
-          emit(v, q,
-               prolong_value<D>(src, v, cc, parity, op.valid, prolongation));
-        });
-      break;
-  }
-}
-
-}  // namespace
-
-// The batched executor: each op runs as rows along the unit-stride axis.
-// SameCopy rows are straight memcpy; Restrict rows average 2^D stride-2
-// source streams; Prolong rows reuse the per-row-constant transverse
-// parities and slope-validity flags. All arithmetic matches compute_op
-// value for value, so the fill is bitwise identical to apply_reference.
-template <int D>
-void GhostExchanger<D>::apply_op(BlockStore<D>& store,
-                                 const GhostOp<D>& op) const {
-  BlockView<D> dst = store.view(op.dst);
-  ConstBlockView<D> src = std::as_const(store).view(op.src);
-  const BlockLayout<D>& lay = layout_;
-  const std::int64_t fs = lay.field_stride();
-  const Box<D>& b = op.dst_box;
+// The batched executor: each op runs as rows along the unit-stride axis,
+// variables outer, rows in for_each_row (= for_each_cell) order. SameCopy
+// rows are memcpy; Restrict rows average 2^D stride-2 source streams;
+// Prolong rows hoist the transverse parities and slope-validity flags.
+// `row_dst(v, q, n)` is where the n values of the row starting at dst-local
+// cell q of variable v go: the destination's ghost row for a local fill,
+// the next n message doubles for a pack. The arithmetic is restrict_value/
+// prolong_value's, value for value (tests/support/ghost_reference.hpp).
+// The layout, the functor and the op's fields are locals: row stores may
+// alias anything reached through a pointer, so values read through one
+// are reloaded after every row (BM_GhostFillUniform/8 then ran at ~0.6x).
+template <int D, class RowDst>
+void run_op_rows(const BlockLayout<D> lay, Prolongation kind,
+                 const double* src, const GhostOp<D>& op, RowDst row_dst) {
+  const Box<D> b = op.dst_box;
   if (b.empty()) return;
+  const std::int64_t fs = lay.field_stride();
+  const IVec<D> a = op.a;
 
   switch (op.kind) {
     case GhostOpKind::SameCopy: {
       for (int v = 0; v < lay.nvar; ++v) {
-        const double* s = src.base + v * fs;
-        double* d = dst.base + v * fs;
+        const double* s = src + v * fs;
         for_each_row<D>(b, [&](IVec<D> q, int n) {
-          std::memcpy(d + lay.offset(q), s + lay.offset(q + op.a),
+          std::memcpy(row_dst(v, q, n), s + lay.offset(q + a),
                       sizeof(double) * static_cast<std::size_t>(n));
         });
       }
@@ -298,12 +257,10 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
         child[mask] = off;
       }
       for (int v = 0; v < lay.nvar; ++v) {
-        const double* s = src.base + v * fs;
-        double* d = dst.base + v * fs;
+        const double* s = src + v * fs;
         for_each_row<D>(b, [&](IVec<D> q, int n) {
-          double* AB_RESTRICT dp = d + lay.offset(q);
-          const double* AB_RESTRICT sp =
-              s + lay.offset(q.shifted_left(1) + op.a);
+          double* AB_RESTRICT dp = row_dst(v, q, n);
+          const double* AB_RESTRICT sp = s + lay.offset(q.shifted_left(1) + a);
           for (int t = 0; t < n; ++t) {
             double sum = 0.0;
             for (int mask = 0; mask < kChildren; ++mask)
@@ -315,30 +272,29 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
       break;
     }
     case GhostOpKind::Prolong: {
-      const Box<D>& valid = op.valid;
-      const Prolongation kind = prolongation_;
+      const IVec<D> ob = op.b;
+      const Box<D> valid = op.valid;
       for (int v = 0; v < lay.nvar; ++v) {
-        const double* s = src.base + v * fs;
-        double* d = dst.base + v * fs;
+        const double* s = src + v * fs;
         for_each_row<D>(b, [&](IVec<D> q, int n) {
-          double* AB_RESTRICT dp = d + lay.offset(q);
+          double* AB_RESTRICT dp = row_dst(v, q, n);
           // Transverse coordinates are fixed along the row: precompute the
           // coarse cell, parity factor, and slope-validity per dimension.
           IVec<D> cc{};
           double fac[D > 1 ? D : 1];
           bool use[D > 1 ? D : 1];
           for (int dd = 1; dd < D; ++dd) {
-            const int gf = q[dd] + op.a[dd];
-            cc[dd] = (gf >> 1) - op.b[dd];
+            const int gf = q[dd] + a[dd];
+            cc[dd] = (gf >> 1) - ob[dd];
             fac[dd] = (gf & 1) ? 0.25 : -0.25;
             use[dd] = cc[dd] - 1 >= valid.lo[dd] && cc[dd] + 1 < valid.hi[dd];
           }
           cc[0] = 0;
           const std::int64_t cbase = lay.offset(cc);
-          const int gf0 = q[0] + op.a[0];
+          const int gf0 = q[0] + a[0];
           if (kind == Prolongation::Constant) {
             for (int t = 0; t < n; ++t) {
-              const std::int64_t c0 = ((gf0 + t) >> 1) - op.b[0];
+              const std::int64_t c0 = ((gf0 + t) >> 1) - ob[0];
               dp[t] = s[cbase + c0];
             }
             return;
@@ -346,7 +302,7 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
           const bool linear = kind == Prolongation::Linear;
           for (int t = 0; t < n; ++t) {
             const int g0 = gf0 + t;
-            const std::int64_t c0 = (g0 >> 1) - op.b[0];
+            const std::int64_t c0 = (g0 >> 1) - ob[0];
             const std::int64_t off = cbase + c0;
             const double c = s[off];
             double val = c;
@@ -373,32 +329,45 @@ void GhostExchanger<D>::apply_op(BlockStore<D>& store,
   }
 }
 
+}  // namespace
+
 template <int D>
-void GhostExchanger<D>::apply_reference(BlockStore<D>& store,
-                                        const GhostOp<D>& op) const {
-  BlockView<D> dst = store.view(op.dst);
-  ConstBlockView<D> src = std::as_const(store).view(op.src);
-  compute_op<D>(layout_, prolongation_, src, op,
-                [&](int v, IVec<D> q, double val) { dst.at(v, q) = val; });
+void GhostExchanger<D>::apply(BlockStore<D>& store,
+                              const GhostOp<D>& op) const {
+  double* const dst = store.view(op.dst).base;
+  run_op_rows<D>(layout_, prolongation_,
+                 std::as_const(store).view(op.src).base, op,
+                 [dst, fs = layout_.field_stride(),
+                  lay = layout_](int v, IVec<D> q, int) {
+                   return dst + v * fs + lay.offset(q);
+                 });
 }
 
 template <int D>
 void GhostExchanger<D>::pack_op(const BlockStore<D>& store,
                                 const GhostOp<D>& op, double* buf) const {
-  ConstBlockView<D> src = store.view(op.src);
-  std::int64_t k = 0;
-  compute_op<D>(layout_, prolongation_, src, op,
-                [&](int, IVec<D>, double val) { buf[k++] = val; });
+  run_op_rows<D>(layout_, prolongation_, store.view(op.src).base, op,
+                 [cursor = buf](int, IVec<D>, int n) mutable {
+                   double* row = cursor;
+                   cursor += n;
+                   return row;
+                 });
 }
 
 template <int D>
 void GhostExchanger<D>::unpack_op(BlockStore<D>& store, const GhostOp<D>& op,
                                   const double* buf) const {
-  BlockView<D> dst = store.view(op.dst);
-  std::int64_t k = 0;
-  for (int v = 0; v < layout_.nvar; ++v)
-    for_each_cell<D>(op.dst_box,
-                     [&](IVec<D> q) { dst.at(v, q) = buf[k++]; });
+  const BlockLayout<D> lay = layout_;  // a local, as in run_op_rows
+  const std::int64_t fs = lay.field_stride();
+  const Box<D> b = op.dst_box;
+  double* const dst = store.view(op.dst).base;
+  const double* cursor = buf;
+  for (int v = 0; v < lay.nvar; ++v)
+    for_each_row<D>(b, [&](IVec<D> q, int n) {
+      std::memcpy(dst + v * fs + lay.offset(q), cursor,
+                  sizeof(double) * static_cast<std::size_t>(n));
+      cursor += n;
+    });
 }
 
 template <int D>
@@ -412,13 +381,12 @@ void GhostExchanger<D>::fill(BlockStore<D>& store, ThreadPool* pool) const {
     if (pool != nullptr) {
       pool->parallel_for(static_cast<std::int64_t>(hi - lo),
                          [&](std::int64_t i) {
-                           apply_op(store,
-                                    ops_[static_cast<std::size_t>(
-                                        exec_order_[lo + i])]);
+                           apply(store, ops_[static_cast<std::size_t>(
+                                            exec_order_[lo + i])]);
                          });
     } else {
       for (int i = lo; i < hi; ++i)
-        apply_op(store, ops_[static_cast<std::size_t>(exec_order_[i])]);
+        apply(store, ops_[static_cast<std::size_t>(exec_order_[i])]);
     }
   };
   run_range(0, phase1_count_);
@@ -426,24 +394,17 @@ void GhostExchanger<D>::fill(BlockStore<D>& store, ThreadPool* pool) const {
 }
 
 template <int D>
-void GhostExchanger<D>::fill_block(BlockStore<D>& store, int dst) const {
-  AB_REQUIRE(dst >= 0 && dst < static_cast<int>(ops_by_dst_.size()),
-             "fill_block: unknown block");
-  for (int i : ops_by_dst_[dst]) apply_op(store, ops_[i]);
-}
-
-template <int D>
 void GhostExchanger<D>::fill_block_phase1(BlockStore<D>& store,
                                           int dst) const {
   for (int i : dst_phase1_[static_cast<std::size_t>(dst)])
-    apply_op(store, ops_[static_cast<std::size_t>(i)]);
+    apply(store, ops_[static_cast<std::size_t>(i)]);
 }
 
 template <int D>
 void GhostExchanger<D>::fill_block_prolong(BlockStore<D>& store,
                                            int dst) const {
   for (int i : dst_prolong_[static_cast<std::size_t>(dst)])
-    apply_op(store, ops_[static_cast<std::size_t>(i)]);
+    apply(store, ops_[static_cast<std::size_t>(i)]);
 }
 
 template <int D>

@@ -99,12 +99,16 @@ class GhostExchanger {
   ///
   /// Execution is batched: ops run in exec_order() — grouped by kind and
   /// destination — and each op executes as contiguous row copies (SameCopy)
-  /// or per-row vector loops (Restrict/Prolong) rather than per-cell
-  /// emit callbacks. Results are bitwise identical to apply_reference.
+  /// or per-row vector loops (Restrict/Prolong). The per-cell oracle these
+  /// rows are tested against lives in tests/support/ghost_reference.hpp.
   void fill(BlockStore<D>& store, ThreadPool* pool = nullptr) const;
 
-  /// Execute only the ops whose destination is block `dst`.
-  void fill_block(BlockStore<D>& store, int dst) const;
+  /// Execute only the ops whose destination is block `dst` (its phase-1
+  /// ops, then its Prolong ops).
+  void fill_block(BlockStore<D>& store, int dst) const {
+    fill_block_phase1(store, dst);
+    fill_block_prolong(store, dst);
+  }
 
   /// Phase-1 ops (SameCopy + Restrict) into block `dst`, in the same
   /// relative order fill() uses. These read only source interiors, so one
@@ -127,14 +131,7 @@ class GhostExchanger {
 
   /// Apply a single op from the plan (advanced drivers — e.g. the
   /// subcycling stepper — select and time-blend ops themselves).
-  void apply(BlockStore<D>& store, const GhostOp<D>& op) const {
-    apply_op(store, op);
-  }
-
-  /// Apply one op through the seed per-cell path (the emit-callback
-  /// executor that also backs pack_op). Kept as the correctness oracle for
-  /// the batched row executor; tests assert both fill the same bytes.
-  void apply_reference(BlockStore<D>& store, const GhostOp<D>& op) const;
+  void apply(BlockStore<D>& store, const GhostOp<D>& op) const;
 
   /// Doubles one op's message carries: its dst cells times nvar.
   std::int64_t op_payload_doubles(const GhostOp<D>& op) const {
@@ -142,14 +139,18 @@ class GhostExchanger {
   }
 
   /// Sender-side evaluation: compute the op's destination ghost values from
-  /// the SOURCE block's data and emit them into `buf` (var-major, dst_box
+  /// the SOURCE block's data and write them into `buf` (var-major, dst_box
   /// cells in for_each_cell order; op_payload_doubles entries). This is the
   /// message a distributed implementation sends — restriction/prolongation
   /// happen on the owning processor, as in the original production code.
+  /// It runs the same row executor as apply(), with the rows landing back
+  /// to back in `buf` instead of in the destination's ghost ring, so the
+  /// payload holds exactly the values a local fill would write.
   void pack_op(const BlockStore<D>& store, const GhostOp<D>& op,
                double* buf) const;
 
-  /// Receiver-side: write a packed payload into the destination ghosts.
+  /// Receiver-side: write a packed payload into the destination ghosts,
+  /// one memcpy per dst_box row.
   void unpack_op(BlockStore<D>& store, const GhostOp<D>& op,
                  const double* buf) const;
 
@@ -186,7 +187,6 @@ class GhostExchanger {
   const std::vector<Box<D>>& rim_boxes() const { return rim_boxes_; }
 
  private:
-  void apply_op(BlockStore<D>& store, const GhostOp<D>& op) const;
   void plan_face(int id, int dim, int side);
 
   const Forest<D>* forest_;
@@ -195,7 +195,6 @@ class GhostExchanger {
   std::vector<GhostOp<D>> ops_;
   std::vector<int> exec_order_;  // ops_ indices, batched execution order
   int phase1_count_ = 0;
-  std::vector<std::vector<int>> ops_by_dst_;  // indices into ops_, per block
   // Per-destination plan for dependency-driven stepping, split by phase and
   // kept in fill()'s relative order.
   std::vector<std::vector<int>> dst_phase1_;

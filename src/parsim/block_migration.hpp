@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/block_store.hpp"
@@ -24,29 +25,38 @@ std::int64_t block_payload_doubles(const BlockLayout<D>& lay) {
   return lay.interior_cells() * lay.nvar;
 }
 
-/// Serialize block `id`'s interior (variables outer, cells in
-/// for_each_cell order) into `buf` (block_payload_doubles entries).
+/// Visit a block payload's rows in wire order — variables outer, interior
+/// rows in for_each_row (= for_each_cell) order: f(field offset, length).
+template <int D, class F>
+void for_each_payload_row(const BlockLayout<D>& lay, F&& f) {
+  const std::int64_t fs = lay.field_stride();
+  for (int var = 0; var < lay.nvar; ++var)
+    for_each_row<D>(lay.interior_box(), [&](IVec<D> p, int n) {
+      f(var * fs + lay.offset(p), static_cast<std::size_t>(n));
+    });
+}
+
+/// Serialize block `id`'s interior into `buf` (block_payload_doubles
+/// entries), one memcpy per row.
 template <int D>
 void pack_block_payload(const BlockStore<D>& store, int id, double* buf) {
-  ConstBlockView<D> v = store.view(id);
-  double* cursor = buf;
-  for (int var = 0; var < store.layout().nvar; ++var) {
-    for_each_cell<D>(store.layout().interior_box(),
-                     [&](IVec<D> p) { *cursor++ = v.at(var, p); });
-  }
+  const double* src = store.view(id).base;
+  for_each_payload_row(store.layout(), [&](std::int64_t off, std::size_t n) {
+    std::memcpy(buf, src + off, sizeof(double) * n);
+    buf += n;
+  });
 }
 
 /// Allocate block `id` in `store` (if absent) and write a packed payload
-/// into its interior.
+/// into its interior; ghosts and padding are left as they are.
 template <int D>
 void unpack_block_payload(BlockStore<D>& store, int id, const double* buf) {
   store.ensure(id);
-  BlockView<D> v = store.view(id);
-  const double* cursor = buf;
-  for (int var = 0; var < store.layout().nvar; ++var) {
-    for_each_cell<D>(store.layout().interior_box(),
-                     [&](IVec<D> p) { v.at(var, p) = *cursor++; });
-  }
+  double* dst = store.view(id).base;
+  for_each_payload_row(store.layout(), [&](std::int64_t off, std::size_t n) {
+    std::memcpy(dst + off, buf, sizeof(double) * n);
+    buf += n;
+  });
 }
 
 struct MigrationStats {

@@ -48,9 +48,15 @@ namespace ab {
 /// round for the cost model.
 class MessageBoard {
  public:
+  /// Start a new round: empty every channel but keep its storage, so a
+  /// round that repeats the last one's traffic allocates nothing.
   void clear() {
     flush_trace();
-    channels_.clear();
+    for (auto& [key, ch] : channels_) {
+      ch.data.clear();
+      ch.read = 0;
+      ch.span = obs::MsgSpanState{};
+    }
   }
 
   /// Route every subsequent send through `plan`'s lossy wire (nullptr

@@ -745,8 +745,15 @@ class RankSolver {
     for (const auto& bf : exchanger_.boundary_faces())
       bfaces_by_pe_[static_cast<std::size_t>(owner_at(bf.block))].push_back(
           bf);
-    if (cfg_.solver.flux_correction)
+    if (cfg_.solver.flux_correction) {
       for (auto& r : registers_) r.rebuild(exchanger_);
+      const FluxRegister<D>& reg = registers_.front();
+      favg_off_.assign(reg.corrections().size() + 1, 0);
+      for (std::size_t i = 0; i < reg.corrections().size(); ++i)
+        favg_off_[i + 1] =
+            favg_off_[i] + reg.correction_doubles(reg.corrections()[i]);
+      favg_.resize(static_cast<std::size_t>(favg_off_.back()));
+    }
     if (distmeta_) rebuild_local_topology();
   }
 
@@ -1060,17 +1067,14 @@ class RankSolver {
     board_.clear();
     if (msg_trace_.active())
       msg_trace_.set_context(step_index_, obs::MsgPhase::Flux, parent_span);
-    std::vector<std::vector<double>> favg(plan.size());
     for (std::size_t i = 0; i < plan.size(); ++i) {
       const auto& c = plan[i];
       const int pf = owner_at(c.fine);
       FluxRegister<D>& reg = registers_[static_cast<std::size_t>(pf)];
-      favg[i].resize(static_cast<std::size_t>(reg.correction_doubles(c)));
-      reg.pack_fine_avg(c, reg.storage(c.fine), favg[i].data());
+      double* favg = favg_.data() + favg_off_[i];
+      reg.pack_fine_avg(c, reg.storage(c.fine), favg);
       const int pc = owner_at(c.coarse);
-      if (pf != pc)
-        board_.send(pf, pc, favg[i].data(),
-                    static_cast<std::int64_t>(favg[i].size()));
+      if (pf != pc) board_.send(pf, pc, favg, favg_off_[i + 1] - favg_off_[i]);
     }
     for (std::size_t i = 0; i < plan.size(); ++i) {
       const auto& c = plan[i];
@@ -1078,10 +1082,9 @@ class RankSolver {
       const int pc = owner_at(c.coarse);
       FluxRegister<D>& reg = registers_[static_cast<std::size_t>(pc)];
       const double* payload =
-          (pf == pc)
-              ? favg[i].data()
-              : board_.receive(pf, pc,
-                               static_cast<std::int64_t>(favg[i].size()));
+          (pf == pc) ? favg_.data() + favg_off_[i]
+                     : board_.receive(pf, pc,
+                                      favg_off_[i + 1] - favg_off_[i]);
       reg.apply_correction(
           out[static_cast<std::size_t>(pc)].view(c.coarse), c,
           reg.storage(c.coarse), payload, dt);
@@ -1282,6 +1285,10 @@ class RankSolver {
   std::vector<BlockStore<D>> scratch_;  ///< per-rank stage-1 result
   std::vector<BlockStore<D>> stage2_;   ///< per-rank stage-2 (refluxing only)
   std::vector<FluxRegister<D>> registers_;  ///< per-rank flux recording
+  /// Fine-side averages of a refluxing round; correction i (plan order)
+  /// occupies [favg_off_[i], favg_off_[i+1]).
+  std::vector<double> favg_;
+  std::vector<std::int64_t> favg_off_;
   std::vector<std::vector<BoundaryFace>> bfaces_by_pe_;
   /// Distributed metadata (Config::distributed_metadata / AB_DIST_META):
   /// per-rank local views rebuilt with every partition change; the probe

@@ -4,9 +4,10 @@
 // Used by the comet and Sod shock-tube examples (refs [3],[4] workloads).
 #pragma once
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -212,6 +213,47 @@ struct Euler {
     signal_speeds(u, dir, lmin, lmax);
     double a = std::fabs(lmin), b = std::fabs(lmax);
     return a > b ? a : b;
+  }
+
+  /// Row form of the CFL scan over `n` cells: cell i's variable v is read
+  /// from u[v*fs + i], and out[i] = sum over d of max_speed(u, d) / dx[d],
+  /// the per-cell value block_wave_speed_sum folds. Same expressions as
+  /// max_speed, made branch-free as in rusanov_flux_row_impl (the pressure
+  /// clamp as 0.5*(p + |p|), the |lmin|/|lmax| max over bit patterns), so
+  /// the values are bitwise equal for every non-NaN pressure, and a corrupt
+  /// state (NaN anywhere, negative density) yields a NaN.
+  void wave_speed_row(const double* AB_RESTRICT u, std::int64_t fs,
+                      const RVec<D>& dx, double* AB_RESTRICT out,
+                      int n) const {
+    const double* AB_RESTRICT rho = u + irho() * fs;
+    const double* AB_RESTRICT eng = u + ieng() * fs;
+    const double* AB_RESTRICT m[D];
+    for (int d = 0; d < D; ++d) m[d] = u + imom(d) * fs;
+    // Local copies, as in rusanov_flux_row_impl: `out` could alias *this
+    // and `dx`, which would force reloads in the loop.
+    const double g = gamma;
+    const double gm1 = g - 1.0;
+    const RVec<D> h = dx;
+    AB_IVDEP
+    for (int i = 0; i < n; ++i) {  // must-vectorize
+      const double r = rho[i];
+      // Accumulated from 0.0 as in pressure(): under FMA contraction that
+      // fixes which product fuses, so -march=native builds round alike too.
+      double ke = 0.0;
+      for (int d = 0; d < D; ++d) ke += m[d][i] * m[d][i];
+      ke *= 0.5 / r;
+      const double p = gm1 * (eng[i] - ke);
+      const double c = std::sqrt(g * (0.5 * (p + std::fabs(p))) / r);
+      double sum = 0.0;
+      for (int d = 0; d < D; ++d) {
+        const double vd = m[d][i] / r;
+        const std::uint64_t sb =
+            std::max(std::bit_cast<std::uint64_t>(std::fabs(vd - c)),
+                     std::bit_cast<std::uint64_t>(std::fabs(vd + c)));
+        sum += std::bit_cast<double>(sb) / h[d];
+      }
+      out[i] = sum;
+    }
   }
 
   /// Roe's approximate Riemann solver with a Harten entropy fix. Unlike

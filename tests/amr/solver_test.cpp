@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "physics/advection.hpp"
 #include "physics/euler.hpp"
@@ -343,9 +344,9 @@ TEST(AmrSolver, BrioWuShockTubeQualitative) {
   EXPECT_GT(solver.total_flops(), 0u);
 }
 
-// A corrupt cell (NaN, or rho < 0, whose sound speed is NaN) must stop
-// compute_dt rather than vanish from the CFL max and step at the clean
-// cells' dt.
+// A corrupt cell (NaN, rho < 0 whose sound speed is NaN, or NaN energy)
+// must stop compute_dt rather than vanish from the CFL max and step at the
+// clean cells' dt.
 template <class Phys>
 void expect_compute_dt_rejects_corrupt_cell(const Phys& phys,
                                             typename Phys::State clean) {
@@ -354,17 +355,22 @@ void expect_compute_dt_rejects_corrupt_cell(const Phys& phys,
   cfg.forest.periodic = {true, true, true};
   cfg.cells_per_block = {4, 4, 4};
   cfg.num_threads = 2;
-  for (double bad : {std::nan(""), -clean[0]}) {
+  // (variable, corrupt value): NaN density, negative density, NaN energy
+  // (a NaN pressure, which a `p > 0 ? p : 0` clamp turns into a finite
+  // sound speed).
+  const std::pair<int, double> corruptions[] = {
+      {0, std::nan("")}, {0, -clean[0]}, {Phys::ieng(), std::nan("")}};
+  for (const auto& [var, bad] : corruptions) {
     AmrSolver<3, Phys> solver(cfg, phys);
     solver.init([&](const RVec<3>& x, typename Phys::State& s) {
       s = clean;
       if (x[0] > 0.5 && x[0] < 0.625 && x[1] < 0.25 && x[2] < 0.25)
-        s[0] = bad;  // one cell of the second root block
+        s[var] = bad;  // one cell of the second root block
     });
     try {
       solver.compute_dt();
-      ADD_FAILURE() << "compute_dt accepted a corrupt cell (rho = " << bad
-                    << ")";
+      ADD_FAILURE() << "compute_dt accepted a corrupt cell (var " << var
+                    << " = " << bad << ")";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("non-finite wave speed in block"),
                 std::string::npos)

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "amr/solver.hpp"
 #include "parsim/fault.hpp"
@@ -511,8 +512,9 @@ TEST(RankSolver, StepCostIsPricedOnTheMachineModel) {
   EXPECT_GE(c.imbalance, 1.0);
 }
 
-// Same contract as AmrSolver::compute_dt: a corrupt cell (NaN, or rho < 0,
-// whose sound speed is NaN) throws instead of vanishing from the CFL max.
+// Same contract as AmrSolver::compute_dt: a corrupt cell (NaN, rho < 0
+// whose sound speed is NaN, or NaN energy) throws instead of vanishing from
+// the CFL max.
 template <class Phys>
 void expect_compute_dt_rejects_corrupt_cell(const Phys& phys,
                                             typename Phys::State clean) {
@@ -521,17 +523,22 @@ void expect_compute_dt_rejects_corrupt_cell(const Phys& phys,
   rcfg.solver.forest.periodic = {true, true, true};
   rcfg.solver.cells_per_block = {4, 4, 4};
   rcfg.npes = 2;
-  for (double bad : {std::nan(""), -clean[0]}) {
+  // (variable, corrupt value): NaN density, negative density, NaN energy
+  // (a NaN pressure, which a `p > 0 ? p : 0` clamp turns into a finite
+  // sound speed).
+  const std::pair<int, double> corruptions[] = {
+      {0, std::nan("")}, {0, -clean[0]}, {Phys::ieng(), std::nan("")}};
+  for (const auto& [var, bad] : corruptions) {
     RankSolver<3, Phys> ranks(rcfg, phys);
     ranks.init([&](const RVec<3>& x, typename Phys::State& s) {
       s = clean;
       if (x[0] > 0.5 && x[0] < 0.625 && x[1] < 0.25 && x[2] < 0.25)
-        s[0] = bad;  // one cell of the second root block
+        s[var] = bad;  // one cell of the second root block
     });
     try {
       ranks.compute_dt();
-      ADD_FAILURE() << "compute_dt accepted a corrupt cell (rho = " << bad
-                    << ")";
+      ADD_FAILURE() << "compute_dt accepted a corrupt cell (var " << var
+                    << " = " << bad << ")";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("non-finite wave speed in block"),
                 std::string::npos)

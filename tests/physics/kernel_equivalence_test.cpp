@@ -395,6 +395,61 @@ TEST(KernelEquivalence, MhdWaveSpeedRowMatchesPerCellFold) {
                 per_cell_wave_speed_sum<3>(lay, u.data(), phys, dx)));
 }
 
+// The Euler row form of the CFL scan must give every cell the bits of the
+// per-cell max_speed sum, including states where the scalar path's
+// pressure clamp (p < 0) fires and where |v - c| ties |v + c| (v = 0).
+template <int D>
+void expect_euler_wave_speed_row_matches(const RVec<D>& dx) {
+  Euler<D> phys;
+  const int m = 7;  // odd: leaves a vector-loop remainder
+  BlockLayout<D> lay(IVec<D>(m), 2, Euler<D>::NVAR);
+  AlignedBuffer u(static_cast<std::size_t>(lay.block_doubles()));
+  fill_block<D, Euler<D>>(lay, u.data(), [&](IVec<D> p) {
+    int k = 0;
+    for (int d = D - 1; d >= 0; --d) k = 11 * k + (p[d] + 2);
+    RVec<D> vel;
+    for (int d = 0; d < D; ++d)
+      vel[d] = (k + d) % 4 == 0 ? 0.0 : 0.3 * std::sin(0.1 * k + d);
+    auto st = phys.from_primitive(1.0 + 0.01 * (k % 13), vel,
+                                  0.5 + 0.01 * (k % 7));
+    if (k % 3 == 1) st[Euler<D>::ieng()] -= 2.0;  // negative pressure
+    return st;
+  });
+  const std::int64_t fs = lay.field_stride();
+  int pressure_clamps = 0, ties = 0;
+  std::vector<double> lane(static_cast<std::size_t>(m));
+  for_each_row<D>(lay.interior_box(), [&](IVec<D> p, int n) {
+    phys.wave_speed_row(u.data() + lay.offset(p), fs, dx, lane.data(), n);
+    for (int i = 0; i < n; ++i) {
+      IVec<D> c = p;
+      c[0] += i;
+      const auto st =
+          detail::load_state<Euler<D>>(u.data(), fs, lay.offset(c));
+      double s = 0.0;
+      for (int d = 0; d < D; ++d) s += phys.max_speed(st, d) / dx[d];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(lane[static_cast<std::size_t>(i)]),
+                std::bit_cast<std::uint64_t>(s))
+          << "D=" << D << " cell offset " << lay.offset(c);
+      if (phys.pressure(st) < 0.0) ++pressure_clamps;
+      for (int d = 0; d < D; ++d)
+        if (st[Euler<D>::imom(d)] == 0.0) ++ties;
+    }
+  });
+  EXPECT_GT(pressure_clamps, 0) << "D=" << D;
+  EXPECT_GT(ties, 0) << "D=" << D;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                block_wave_speed_sum<D>(lay, u.data(), phys, dx)),
+            std::bit_cast<std::uint64_t>(
+                per_cell_wave_speed_sum<D>(lay, u.data(), phys, dx)))
+      << "D=" << D;
+}
+
+TEST(KernelEquivalence, EulerWaveSpeedRowMatchesPerCellFold) {
+  expect_euler_wave_speed_row_matches<1>(RVec<1>(0.01));
+  expect_euler_wave_speed_row_matches<2>(RVec<2>{0.01, 0.02});
+  expect_euler_wave_speed_row_matches<3>(RVec<3>{0.01, 0.02, 0.015});
+}
+
 // The threaded driver (pencil path, one scratch arena per pool thread) must
 // reproduce the reference kernel exactly: snapshot the ghost-filled state,
 // step the solver with num_threads > 1, and check every block against a

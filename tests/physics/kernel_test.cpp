@@ -198,6 +198,14 @@ void expect_corrupt_cell_poisons_scan(const Phys& phys,
   rho = -clean[0];  // negative density: the sound speed is sqrt(< 0)
   EXPECT_TRUE(std::isnan(block_wave_speed_sum<3, Phys>(lay, u.data(), phys,
                                                        dx)));
+  rho = clean[0];
+  // NaN energy: the pressure is NaN, which a `p > 0 ? p : 0` clamp turns
+  // into a finite sound speed; the scan must keep the NaN.
+  double& eng = u[static_cast<std::size_t>(Phys::ieng() * lay.field_stride() +
+                                           lay.offset(IVec<3>{3, 0, 1}))];
+  eng = std::nan("");
+  EXPECT_TRUE(std::isnan(block_wave_speed_sum<3, Phys>(lay, u.data(), phys,
+                                                       dx)));
 }
 
 TEST(Kernel, WaveSpeedSumPropagatesCorruptCells) {

@@ -15,7 +15,7 @@ cmake -B "$build_dir" -S "$repo_root" \
   -DAB_NATIVE_ARCH=OFF
 
 targets=(thread_pool_test task_graph_test block_pool_test ghost_test
-         ghost_batch_test parallel_solver_test amr_solver_test
+         ghost_batch_test ghost_pack_test parallel_solver_test amr_solver_test
          subcycling_test determinism_test
          checkpoint_corruption_test fault_test
          tune_probe_test tune_cache_test reblocking_test

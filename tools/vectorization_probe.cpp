@@ -1,7 +1,7 @@
 // Probe translation unit for tools/check_vectorization.sh: instantiates the
-// row kernels the way the solvers do (the MHD and Euler block updates, the
-// MHD CFL scan) so GCC's vectorizer report covers every `must-vectorize`
-// loop after inlining, where alias-check budgets are actually hit.
+// row kernels the way the solvers do (the MHD and Euler block updates and
+// CFL scans) so GCC's vectorizer report covers every `must-vectorize` loop
+// after inlining, where alias-check budgets are actually hit.
 #include "physics/euler.hpp"
 #include "physics/kernel.hpp"
 #include "physics/mhd.hpp"
@@ -22,5 +22,10 @@ template double block_wave_speed_sum<3, IdealMhd<3>>(const BlockLayout<3>&,
                                                      const double*,
                                                      const IdealMhd<3>&,
                                                      const RVec<3>&);
+
+template double block_wave_speed_sum<3, Euler<3>>(const BlockLayout<3>&,
+                                                  const double*,
+                                                  const Euler<3>&,
+                                                  const RVec<3>&);
 
 }  // namespace ab
