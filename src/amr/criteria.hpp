@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -25,22 +26,32 @@ enum class AdaptFlag : int { Coarsen = -1, Keep = 0, Refine = 1 };
 /// scale is the larger of |u| at the two cells and `floor`. This is
 /// resolution-independent (no division by dx), so refinement chases
 /// discontinuities rather than smooth gradients.
+///
+/// Runs along interior rows with the strides in locals (a per-cell
+/// BlockLayout::offset per read cost more than the arithmetic), visiting
+/// cells and dimensions in for_each_cell order, so the fold — and which
+/// operand std::max keeps on NaN — is the per-cell form's.
 template <int D>
 double max_relative_jump(const BlockStore<D>& store, int block, int var,
                          double floor = 1e-12) {
-  const BlockLayout<D>& lay = store.layout();
-  ConstBlockView<D> v = store.view(block);
+  const BlockLayout<D> lay = store.layout();
+  const double* const u = store.view(block).field(var);
+  const IVec<D> m = lay.interior;
+  std::int64_t st[D];
+  for (int d = 0; d < D; ++d) st[d] = lay.stride(d);
   double worst = 0.0;
-  for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
-    const double a = v.at(var, p);
-    for (int d = 0; d < D; ++d) {
-      if (p[d] + 1 >= lay.interior[d]) continue;
-      IVec<D> q = p;
-      q[d] += 1;
-      const double b = v.at(var, q);
-      const double scale =
-          std::max({std::fabs(a), std::fabs(b), floor});
-      worst = std::max(worst, std::fabs(b - a) / scale);
+  for_each_row<D>(lay.interior_box(), [&](IVec<D> q, int n) {
+    const double* const row = u + lay.offset(q);
+    bool up[D] = {};  // the +1 neighbor along d lies in the interior
+    for (int d = 1; d < D; ++d) up[d] = q[d] + 1 < m[d];
+    for (int t = 0; t < n; ++t) {
+      const double a = row[t];
+      for (int d = 0; d < D; ++d) {
+        if (d == 0 ? t + 1 >= n : !up[d]) continue;
+        const double b = row[t + st[d]];
+        const double scale = std::max({std::fabs(a), std::fabs(b), floor});
+        worst = std::max(worst, std::fabs(b - a) / scale);
+      }
     }
   });
   return worst;
@@ -75,25 +86,30 @@ struct GradientCriterion {
 /// Values near 1 mark discontinuities; smooth ramps score near 0 even when
 /// steep — unlike the plain jump indicator, it will not refine a linear
 /// gradient. Returns the max over cells/dims (stencils clamp to interior).
+/// Row form, same visiting order as max_relative_jump.
 template <int D>
 double max_lohner_estimate(const BlockStore<D>& store, int block, int var,
                            double eps = 0.02) {
-  const BlockLayout<D>& lay = store.layout();
-  ConstBlockView<D> v = store.view(block);
+  const BlockLayout<D> lay = store.layout();
+  const double* const u = store.view(block).field(var);
+  const IVec<D> m = lay.interior;
+  std::int64_t st[D];
+  for (int d = 0; d < D; ++d) st[d] = lay.stride(d);
   double worst = 0.0;
-  for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
-    for (int d = 0; d < D; ++d) {
-      if (p[d] == 0 || p[d] + 1 >= lay.interior[d]) continue;
-      IVec<D> lo = p, hi = p;
-      lo[d] -= 1;
-      hi[d] += 1;
-      const double um = v.at(var, lo), uc = v.at(var, p),
-                   up = v.at(var, hi);
-      const double num = std::fabs(up - 2.0 * uc + um);
-      const double den = std::fabs(up - uc) + std::fabs(uc - um) +
-                         eps * (std::fabs(up) + 2.0 * std::fabs(uc) +
-                                std::fabs(um));
-      if (den > 0.0) worst = std::max(worst, num / den);
+  for_each_row<D>(lay.interior_box(), [&](IVec<D> q, int n) {
+    const double* const row = u + lay.offset(q);
+    bool inner[D] = {};  // both neighbors along d lie in the interior
+    for (int d = 1; d < D; ++d) inner[d] = q[d] > 0 && q[d] + 1 < m[d];
+    for (int t = 0; t < n; ++t) {
+      for (int d = 0; d < D; ++d) {
+        if (d == 0 ? (t == 0 || t + 1 >= n) : !inner[d]) continue;
+        const double um = row[t - st[d]], uc = row[t], up = row[t + st[d]];
+        const double num = std::fabs(up - 2.0 * uc + um);
+        const double den = std::fabs(up - uc) + std::fabs(uc - um) +
+                           eps * (std::fabs(up) + 2.0 * std::fabs(uc) +
+                                  std::fabs(um));
+        if (den > 0.0) worst = std::max(worst, num / den);
+      }
     }
   });
   return worst;

@@ -16,13 +16,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -281,11 +279,7 @@ class AmrSolver {
     }
     const BlockLayout<D>& lay = store_.layout();
     // Stage 1: scratch = u + dt L(u).
-    fill_ghosts(store_, time_);
-    {
-      obs::PhaseScope ps(cfg_.telemetry, "stage_update");
-      run_stage(store_, scratch_, dt);
-    }
+    serial_stage(store_, scratch_, time_, dt);
     if (cfg_.rk_stages == 1) {
       obs::PhaseScope ps(cfg_.telemetry, "epilogue");
       if (cfg_.apply_positivity_fix)
@@ -297,37 +291,84 @@ class AmrSolver {
     if (cfg_.apply_positivity_fix)
       for_leaves([&](int id) { fix_block(scratch_, id); });
     // Stage 2 (Heun): u <- (u + (scratch + dt L(scratch))) / 2.
-    fill_ghosts(scratch_, time_ + dt);
     if (cfg_.flux_correction) {
       // Refluxing needs the whole stage result before combining: use a
       // third store.
       if (!stage2_) stage2_ = new_store();
       for (int id : forest_.leaves()) stage2_->ensure(id);
-      {
-        obs::PhaseScope ps(cfg_.telemetry, "stage_update");
-        run_stage(scratch_, *stage2_, dt);
-      }
+      serial_stage(scratch_, *stage2_, time_ + dt, dt);
       obs::PhaseScope ps(cfg_.telemetry, "epilogue");
       for_leaves([&](int id) {
         combine_half(store_.view(id), std::as_const(*stage2_).view(id));
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
       });
     } else {
-      obs::PhaseScope ps(cfg_.telemetry, "stage_update");
       AlignedBuffer tmp(static_cast<std::size_t>(lay.block_doubles()));
-      for (int id : forest_.leaves()) {
+      fill_and_update(scratch_, time_ + dt, [&](int id) {
         const RVec<D> dx = cell_dx(forest_.level(id));
         flop_counter_.add(fv_block_update_tiled<D, Phys>(
             cfg_.sub_block, lay, scratch_.view(id).base, tmp.data(), phys_,
             dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, nullptr, nullptr,
             &kernel_scratch_[0]));
-        combine_half(store_.view(id),
-                     ConstBlockView<D>{tmp.data(), &lay});
+        combine_half(store_.view(id), ConstBlockView<D>{tmp.data(), &lay});
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
-      }
+      });
       block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
     }
     time_ += dt;
+  }
+
+  /// One-thread stage loop: fill each block's ghosts in `in` right before
+  /// `update(id)` runs, so the ghost ring the kernel reads is still in
+  /// cache. Bitwise equal to filling every ghost first: a stage writes only
+  /// its output, ghost ops read source interiors, and the one exception —
+  /// Prolong slope stencils read their coarse source's phase-1 ghosts — is
+  /// covered by filling the prolong sources' phase-1 ghosts up front.
+  /// Boundary conditions read only their own block's interior and write
+  /// slabs no op touches, so they run up front too.
+  template <class Update>
+  void fill_and_update(BlockStore<D>& in, double t, const Update& update) {
+    const std::vector<int>& leaves = forest_.leaves();
+    {
+      obs::PhaseScope ps(cfg_.telemetry, "ghost_exchange");
+      apply_boundary_conditions<D>(in, forest_, exchanger_.boundary_faces(),
+                                   cfg_.bc, t);
+      for (int id : leaves)
+        if (exchanger_.is_prolong_source(id))
+          exchanger_.fill_block_phase1(in, id);
+    }
+    obs::PhaseScope ps(cfg_.telemetry, "stage_update");
+    for (int id : leaves) {
+      if (!exchanger_.is_prolong_source(id))
+        exchanger_.fill_block_phase1(in, id);
+      exchanger_.fill_block_prolong(in, id);
+      update(id);
+    }
+    account_ghost_plan();
+  }
+
+  /// One forward-Euler stage on one thread: out = in + dt L(in) at time t,
+  /// with boundary-face flux recording and refluxing when enabled.
+  void serial_stage(BlockStore<D>& in, BlockStore<D>& out, double t,
+                    double dt) {
+    const BlockLayout<D>& lay = store_.layout();
+    fill_and_update(in, t, [&](int id) {
+      const RVec<D> dx = cell_dx(forest_.level(id));
+      FaceFluxStorage<D>* ff =
+          (cfg_.flux_correction && flux_register_.needs_fluxes(id))
+              ? &flux_register_.storage(id)
+              : nullptr;
+      flop_counter_.add(fv_block_update_tiled<D, Phys>(
+          cfg_.sub_block, lay, in.view(id).base, out.view(id).base, phys_, dx,
+          dt, cfg_.order, cfg_.limiter, cfg_.flux, ff, nullptr,
+          &kernel_scratch_[0]));
+    });
+    block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
+    // Corrections may touch one block from several faces: run serially.
+    if (cfg_.flux_correction) {
+      obs::PhaseScope ps(cfg_.telemetry, "reflux");
+      flux_register_.apply(out, dt);
+    }
   }
 
  public:
@@ -356,67 +397,80 @@ class AmrSolver {
   /// families. Block data is prolonged/restricted; ghosts are refilled.
   template <class Criterion>
   AdaptResult adapt(const Criterion& criterion) {
-    obs::PhaseScope ps(cfg_.telemetry, "regrid", "regrid");
+    obs::Telemetry* const tel = cfg_.telemetry;
+    obs::PhaseScope ps(tel, "regrid", "regrid");
     AdaptResult res;
-    // Snapshot flags before mutating topology.
-    std::vector<std::pair<int, AdaptFlag>> flags;
-    flags.reserve(forest_.leaves().size());
-    for (int id : forest_.leaves())
-      flags.emplace_back(id, criterion(forest_, store_, id));
-
-    // Refinement (cascades may refine additional blocks).
-    for (auto [id, flag] : flags) {
-      if (flag != AdaptFlag::Refine) continue;
-      if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
-      if (forest_.level(id) >= cfg_.forest.max_level) continue;
-      for (const auto& ev : forest_.refine(id)) {
-        prolong_to_children<D>(store_, ev, cfg_.prolongation);
-        for (int c : ev.children) scratch_.ensure(c);
-        scratch_.release(ev.parent);
-        ++res.refined;
-      }
+    // Snapshot flags before mutating topology: the leaves in order, and the
+    // flag of each by node id (nodes created below read as Keep).
+    std::vector<int> flagged;
+    std::vector<AdaptFlag> flags;
+    {
+      obs::PhaseScope fs(tel, "regrid.flag");
+      flagged = forest_.leaves();
+      flags.assign(static_cast<std::size_t>(forest_.node_capacity()),
+                   AdaptFlag::Keep);
+      for (int id : flagged)
+        flags[static_cast<std::size_t>(id)] = criterion(forest_, store_, id);
     }
-
-    // Coarsening: a sibling family merges only if every child was flagged
-    // Coarsen, is still a leaf, and the constraint allows it.
-    std::vector<int> parents;
-    for (auto [id, flag] : flags) {
-      if (flag != AdaptFlag::Coarsen) continue;
-      if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
-      const int p = forest_.parent(id);
-      if (p < 0) continue;
-      if (forest_.child_index(id) != 0) continue;  // visit once per family
-      parents.push_back(p);
-    }
-    // The flags of all siblings must agree; build a lookup.
-    std::unordered_map<int, AdaptFlag> flag_map;
-    flag_map.reserve(flags.size());
-    for (auto [fid, fl] : flags) flag_map.emplace(fid, fl);
     auto flag_of = [&](int id) {
-      auto it = flag_map.find(id);
-      return it == flag_map.end() ? AdaptFlag::Keep : it->second;
+      return id < static_cast<int>(flags.size())
+                 ? flags[static_cast<std::size_t>(id)]
+                 : AdaptFlag::Keep;
     };
-    for (int p : parents) {
-      if (!forest_.is_live(p) || forest_.is_leaf(p)) continue;
-      bool all = true;
-      const auto& kids = forest_.children(p);
-      for (int c : kids) {
-        if (!forest_.is_live(c) || !forest_.is_leaf(c) ||
-            flag_of(c) != AdaptFlag::Coarsen) {
-          all = false;
-          break;
+
+    {
+      obs::PhaseScope ts(tel, "regrid.transfer");
+      // Refinement (cascades may refine additional blocks).
+      for (int id : flagged) {
+        if (flag_of(id) != AdaptFlag::Refine) continue;
+        if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
+        if (forest_.level(id) >= cfg_.forest.max_level) continue;
+        for (const auto& ev : forest_.refine(id)) {
+          prolong_to_children<D>(store_, ev, cfg_.prolongation);
+          for (int c : ev.children) scratch_.ensure(c);
+          scratch_.release(ev.parent);
+          ++res.refined;
         }
       }
-      if (!all || !forest_.can_coarsen(p)) continue;
-      restrict_to_parent<D>(store_, p, kids);
-      scratch_.ensure(p);
-      for (int c : kids) scratch_.release(c);
-      forest_.coarsen(p);
-      ++res.coarsened;
+
+      // Coarsening: a sibling family merges only if every child was
+      // flagged Coarsen, is still a leaf, and the constraint allows it.
+      std::vector<int> parents;
+      for (int id : flagged) {
+        if (flag_of(id) != AdaptFlag::Coarsen) continue;
+        if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
+        const int p = forest_.parent(id);
+        if (p < 0) continue;
+        if (forest_.child_index(id) != 0) continue;  // visit once per family
+        parents.push_back(p);
+      }
+      for (int p : parents) {
+        if (!forest_.is_live(p) || forest_.is_leaf(p)) continue;
+        bool all = true;
+        const auto& kids = forest_.children(p);
+        for (int c : kids) {
+          if (!forest_.is_live(c) || !forest_.is_leaf(c) ||
+              flag_of(c) != AdaptFlag::Coarsen) {
+            all = false;
+            break;
+          }
+        }
+        if (!all || !forest_.can_coarsen(p)) continue;
+        restrict_to_parent<D>(store_, p, kids);
+        scratch_.ensure(p);
+        for (int c : kids) scratch_.release(c);
+        forest_.coarsen(p);
+        ++res.coarsened;
+      }
     }
 
     if (res.refined || res.coarsened) {
-      forest_.rebuild_neighbor_table();
+      {
+        obs::PhaseScope ts(tel, "regrid.topology");
+        forest_.leaves();  // merge the new leaves into the curve order
+        forest_.rebuild_neighbor_table();
+      }
+      obs::PhaseScope ps2(tel, "regrid.plan");
       exchanger_.rebuild();
       if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
       if (cfg_.subcycling) rebuild_level_structures();
@@ -424,10 +478,10 @@ class AmrSolver {
     }
     pending_refined_ += res.refined;
     pending_coarsened_ += res.coarsened;
-    if (cfg_.telemetry != nullptr) {
-      cfg_.telemetry->metrics.counter("solver.refined")->add(
+    if (tel != nullptr) {
+      tel->metrics.counter("solver.refined")->add(
           static_cast<std::uint64_t>(res.refined));
-      cfg_.telemetry->metrics.counter("solver.coarsened")->add(
+      tel->metrics.counter("solver.coarsened")->add(
           static_cast<std::uint64_t>(res.coarsened));
     }
     return res;
@@ -479,6 +533,7 @@ class AmrSolver {
   void restore(const std::string& path) {
     time_ = load_checkpoint<D>(path, forest_, store_);
     for (int id : forest_.leaves()) scratch_.ensure(id);
+    forest_.touch_all();  // a new topology: every structure rebuilds in full
     forest_.rebuild_neighbor_table();
     exchanger_.rebuild();
     if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
@@ -499,8 +554,7 @@ class AmrSolver {
   // holds time level_t_cur_[l'] >= t with its previous state (ghosts
   // included) preserved in scratch_ for time interpolation.
 
-  /// Regroup leaves, exchange ops, and boundary faces by refinement level
-  /// (and, for the task-graph path, per destination block).
+  /// Regroup leaves, exchange ops, and boundary faces by refinement level.
   void rebuild_level_structures() {
     const int nl = cfg_.forest.max_level + 1;
     level_leaves_.assign(nl, {});
@@ -511,13 +565,10 @@ class AmrSolver {
     for (int id : forest_.leaves())
       level_leaves_[forest_.level(id)].push_back(id);
     const auto& ops = exchanger_.ops();
-    sub_block_ops_.assign(static_cast<std::size_t>(forest_.node_capacity()),
-                          {});
     level_op_kinds_.assign(static_cast<std::size_t>(nl), {});
     for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
       const int lvl = forest_.level(ops[i].dst);
       level_ops_[lvl].push_back(i);
-      sub_block_ops_[static_cast<std::size_t>(ops[i].dst)].push_back(i);
       ++level_op_kinds_[static_cast<std::size_t>(lvl)]
                        [static_cast<int>(ops[i].kind)];
     }
@@ -720,14 +771,9 @@ class AmrSolver {
     // restriction-filled ghost cells). Everyone else folds the fill into
     // the block's update task — for a same-level-only region that leaves
     // one fused task per block per stage with no dependencies at all.
-    std::vector<char> is_src(static_cast<std::size_t>(forest_.node_capacity()),
-                             0);
-    for (int d : leaves)
-      for (int s : exchanger_.prolong_sources(d))
-        is_src[static_cast<std::size_t>(s)] = 1;
     std::vector<int> gh(static_cast<std::size_t>(forest_.node_capacity()), -1);
     for (int d : leaves)
-      if (is_src[static_cast<std::size_t>(d)])
+      if (exchanger_.is_prolong_source(d))
         gh[static_cast<std::size_t>(d)] = stage_graph_.add([this, d] {
           exchanger_.fill_block_phase1(*ctx_.in, d);
           apply_boundary_conditions<D>(
@@ -736,7 +782,7 @@ class AmrSolver {
         });
     for (int d : leaves) {
       const RVec<D> dx = cell_dx(forest_.level(d));
-      const bool fuse_gh = !is_src[static_cast<std::size_t>(d)];
+      const bool fuse_gh = !exchanger_.is_prolong_source(d);
       const bool has_pr = !exchanger_.prolong_sources(d).empty();
       const bool record =
           cfg_.flux_correction && flux_register_.needs_fluxes(d);
@@ -798,7 +844,7 @@ class AmrSolver {
   }
 
   /// Run one stage through the graph: ctx_ must be set. Handles flux
-  /// pre-touch, flop accounting, and refluxing like run_stage.
+  /// pre-touch, flop accounting, and refluxing like serial_stage.
   void run_stage_graph() {
     if (cfg_.flux_correction)
       for (int id : forest_.leaves())
@@ -874,7 +920,8 @@ class AmrSolver {
                            -1);
       for (int d : level_leaves_[l])
         fid[static_cast<std::size_t>(d)] = g.add([this, d] {
-          for (int i : sub_block_ops_[static_cast<std::size_t>(d)])
+          const auto r = exchanger_.dst_ops(d);
+          for (int i = r.first; i < r.first + r.count; ++i)
             apply_subcycled_op(exchanger_.ops()[static_cast<std::size_t>(i)],
                                sub_tau_);
           apply_boundary_conditions<D>(
@@ -884,10 +931,7 @@ class AmrSolver {
       for (int d : level_leaves_[l]) {
         // Split only blocks with a time-blended coarse fill to hide (same
         // heuristic as the stage graph: thin rim slabs cost sweep setup).
-        bool has_prolong = false;
-        for (int i : sub_block_ops_[static_cast<std::size_t>(d)])
-          if (ops[static_cast<std::size_t>(i)].kind == GhostOpKind::Prolong)
-            has_prolong = true;
+        const bool has_prolong = !exchanger_.prolong_sources(d).empty();
         const bool split = !core.empty() && overlap_pays() && has_prolong;
         int interior = -1;
         if (split)
@@ -913,13 +957,15 @@ class AmrSolver {
       }
       // Anti-dependencies: s's swap waits until every same-level copy out
       // of s has read the old state.
-      for (int d : level_leaves_[l])
-        for (int i : sub_block_ops_[static_cast<std::size_t>(d)]) {
+      for (int d : level_leaves_[l]) {
+        const auto r = exchanger_.dst_ops(d);
+        for (int i = r.first; i < r.first + r.count; ++i) {
           const GhostOp<D>& op = ops[static_cast<std::size_t>(i)];
           if (op.kind == GhostOpKind::SameCopy)
             g.depends(rid[static_cast<std::size_t>(op.src)],
                       fid[static_cast<std::size_t>(op.dst)]);
         }
+      }
     }
   }
 
@@ -934,39 +980,6 @@ class AmrSolver {
                           });
     } else {
       for (int id : leaves) fn(id);
-    }
-  }
-
-  /// One forward-Euler stage over all blocks: out = in + dt L(in), with
-  /// boundary-face flux recording and refluxing when enabled.
-  void run_stage(BlockStore<D>& in, BlockStore<D>& out, double dt) {
-    const BlockLayout<D>& lay = store_.layout();
-    // Flux storage is allocated lazily; touch it serially before the
-    // parallel sweep so the sweep only writes into pre-sized buffers.
-    if (cfg_.flux_correction)
-      for (int id : forest_.leaves())
-        if (flux_register_.needs_fluxes(id)) flux_register_.storage(id);
-    std::atomic<std::uint64_t> flops{0};
-    for_leaves([&](int id) {
-      const RVec<D> dx = cell_dx(forest_.level(id));
-      FaceFluxStorage<D>* ff =
-          (cfg_.flux_correction && flux_register_.needs_fluxes(id))
-              ? &flux_register_.storage(id)
-              : nullptr;
-      flops.fetch_add(
-          fv_block_update_tiled<D, Phys>(
-              cfg_.sub_block, lay, in.view(id).base, out.view(id).base, phys_,
-              dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, ff, nullptr,
-              &kernel_scratch_[static_cast<std::size_t>(
-                  ThreadPool::this_thread_index())]),
-          std::memory_order_relaxed);
-    });
-    flop_counter_.add(flops.load(std::memory_order_relaxed));
-    block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
-    // Corrections may touch one block from several faces: run serially.
-    if (cfg_.flux_correction) {
-      obs::PhaseScope ps(cfg_.telemetry, "reflux");
-      flux_register_.apply(out, dt);
     }
   }
 
@@ -1121,7 +1134,6 @@ class AmrSolver {
   StageCtx ctx_;
   std::vector<std::vector<BoundaryFace>> bfaces_by_block_;
   std::vector<TaskGraph> level_graphs_;       // per level, with subcycling
-  std::vector<std::vector<int>> sub_block_ops_;  // op indices per dst block
   double sub_tau_ = 0.0;  // current substep fill time (set before each run)
   double sub_dt_ = 0.0;   // current substep size
 };

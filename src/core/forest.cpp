@@ -1,8 +1,15 @@
 #include "core/forest.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
 
 namespace ab {
+
+std::uint64_t next_forest_epoch() {
+  static std::atomic<std::uint64_t> epoch{0};
+  return epoch.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 template <int D>
 Forest<D>::Forest(const Config& cfg) : cfg_(cfg) {
@@ -233,8 +240,8 @@ typename Forest<D>::RefineEvent Forest<D>::refine_raw(int id) {
   }
   nodes_[id].leaf = false;
   num_leaves_ += kNumChildren - 1;
-  neighbor_table_valid_ = false;
-  leaves_valid_ = false;
+  touch(id);
+  for (int cid : ev.children) touch(cid);
   return ev;
 }
 
@@ -306,42 +313,155 @@ typename Forest<D>::CoarsenEvent Forest<D>::coarsen(int parent_id) {
   }
   p.leaf = true;
   num_leaves_ -= kNumChildren - 1;
-  neighbor_table_valid_ = false;
-  leaves_valid_ = false;
+  touch(parent_id);
+  for (int c : ev.children) touch(c);
   return ev;
 }
 
 template <int D>
-void Forest<D>::rebuild_neighbor_table() {
-  neighbor_table_.assign(nodes_.size(), {});
-  for (int id = 0; id < static_cast<int>(nodes_.size()); ++id) {
-    if (!nodes_[id].live || !nodes_[id].leaf) continue;
-    for (int dim = 0; dim < D; ++dim)
-      for (int side = 0; side < 2; ++side)
-        neighbor_table_[id][2 * dim + side] = face_neighbor(id, dim, side);
-  }
-  neighbor_table_valid_ = true;
+void Forest<D>::touch(int id) {
+  log_.nodes.push_back(id);
+  if (log_.nodes.size() <= nodes_.size() + 1024) return;
+  // Drop what the leaf order and the neighbor table have both read; the
+  // solvers sync their exchanger at the same point, so it keeps up. If an
+  // internal consumer lags that far, start over: it costs about as much as
+  // replaying the log, and keeps the log bounded when nobody reads it.
+  std::size_t read = log_.end();
+  for (std::size_t at : {log_.leaves_at, log_.table_at})
+    if (at != ChangeLog::kStale) read = std::min(read, at);
+  log_.nodes.erase(log_.nodes.begin(),
+                   log_.nodes.begin() +
+                       static_cast<std::ptrdiff_t>(read - log_.base));
+  log_.base = read;
+  if (log_.nodes.size() > nodes_.size() + 1024) log_.restart();
 }
 
 template <int D>
-const std::vector<int>& Forest<D>::leaves() const {
-  if (!leaves_valid_) {
-    leaves_.clear();
-    leaves_.reserve(static_cast<std::size_t>(num_leaves_));
-    for (int id = 0; id < static_cast<int>(nodes_.size()); ++id)
-      if (nodes_[id].live && nodes_[id].leaf) leaves_.push_back(id);
-    const int ml = cfg_.max_level;
-    std::sort(leaves_.begin(), leaves_.end(), [&](int a, int b) {
-      std::uint64_t ka =
-          morton_key_global<D>(nodes_[a].level, nodes_[a].coords, ml);
-      std::uint64_t kb =
-          morton_key_global<D>(nodes_[b].level, nodes_[b].coords, ml);
-      if (ka != kb) return ka < kb;
-      return nodes_[a].level < nodes_[b].level;
-    });
-    leaves_valid_ = true;
+void Forest<D>::touch_all() {
+  log_.restart();
+  log_.leaves_at = ChangeLog::kStale;
+  log_.table_at = ChangeLog::kStale;
+}
+
+template <int D>
+bool Forest<D>::changes_since(ChangeCursor& cursor,
+                              std::vector<int>& out) const {
+  const bool current = cursor.epoch == log_.epoch &&
+                       cursor.pos >= log_.base && cursor.pos <= log_.end();
+  if (current)
+    out.insert(out.end(),
+               log_.nodes.begin() +
+                   static_cast<std::ptrdiff_t>(cursor.pos - log_.base),
+               log_.nodes.end());
+  cursor = ChangeCursor{log_.epoch, log_.end()};
+  return current;
+}
+
+template <int D>
+void Forest<D>::collect_touched(std::size_t at) const {
+  touched_.clear();
+  if (at == ChangeLog::kStale) {
+    touched_.resize(nodes_.size());
+    std::iota(touched_.begin(), touched_.end(), 0);
+  } else {
+    touched_.assign(
+        log_.nodes.begin() + static_cast<std::ptrdiff_t>(at - log_.base),
+        log_.nodes.end());
   }
-  return leaves_;
+  mark_.resize(nodes_.size(), 0);
+}
+
+template <int D>
+std::array<typename Forest<D>::FaceNeighbor, Forest<D>::kNumFaces>
+Forest<D>::neighbor_record(int id) const {
+  std::array<FaceNeighbor, kNumFaces> rec;
+  for (int dim = 0; dim < D; ++dim)
+    for (int side = 0; side < 2; ++side)
+      rec[2 * dim + side] = face_neighbor(id, dim, side);
+  return rec;
+}
+
+template <int D>
+void Forest<D>::rebuild_neighbor_table() {
+  // A refine or coarsen changes the records of the touched leaves and of
+  // their face neighbors only: the blocks replacing a removed node cover
+  // its region, so every leaf that bordered it borders one of them.
+  collect_touched(log_.table_at);
+  neighbor_table_.resize(nodes_.size());
+  std::vector<int> fresh;  // recomputed leaves
+  for (int id : touched_) {
+    if (mark_[id]) continue;
+    mark_[id] = 1;
+    if (nodes_[id].live && nodes_[id].leaf) {
+      neighbor_table_[id] = neighbor_record(id);
+      fresh.push_back(id);
+    } else {
+      neighbor_table_[id] = {};
+    }
+  }
+  const std::size_t n_touched = fresh.size();
+  for (std::size_t i = 0; i < n_touched; ++i) {
+    for (const FaceNeighbor& nb : neighbor_table_[fresh[i]]) {
+      for (int k = 0; k < nb.count(); ++k) {
+        const int n = nb.ids[k];
+        if (mark_[n]) continue;
+        mark_[n] = 1;
+        neighbor_table_[n] = neighbor_record(n);
+        fresh.push_back(n);
+      }
+    }
+  }
+  for (int id : touched_) mark_[id] = 0;
+  for (int id : fresh) mark_[id] = 0;
+  log_.table_at = log_.end();
+}
+
+template <int D>
+void Forest<D>::sync_leaves() const {
+  // Touched nodes leave the current order; those that are leaves now are
+  // sorted by (global Morton key, level) and merged back in. A parent's
+  // descendants are contiguous on the curve, so children take exactly
+  // their parent's place and a coarsened parent its children's.
+  collect_touched(log_.leaves_at);
+  struct Keyed {
+    std::uint64_t key;
+    int level;
+    int id;
+  };
+  std::vector<Keyed> added;
+  const int ml = cfg_.max_level;
+  for (int id : touched_) {
+    if (mark_[id]) continue;
+    mark_[id] = 1;
+    const Node& n = nodes_[id];
+    if (n.live && n.leaf)
+      added.push_back(
+          {morton_key_global<D>(n.level, n.coords, ml), n.level, id});
+  }
+  std::erase_if(leaves_, [&](int id) { return mark_[id] != 0; });
+  for (int id : touched_) mark_[id] = 0;
+  std::sort(added.begin(), added.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.level < b.level;
+  });
+  auto before = [&](const Keyed& a, int id) {
+    const Node& n = nodes_[id];
+    const std::uint64_t k = morton_key_global<D>(n.level, n.coords, ml);
+    if (a.key != k) return a.key < k;
+    return a.level < n.level;
+  };
+  std::vector<int> merged;
+  merged.reserve(static_cast<std::size_t>(num_leaves_));
+  auto it = leaves_.begin();
+  for (const Keyed& a : added) {
+    auto pos = std::upper_bound(it, leaves_.end(), a, before);
+    merged.insert(merged.end(), it, pos);
+    merged.push_back(a.id);
+    it = pos;
+  }
+  merged.insert(merged.end(), it, leaves_.end());
+  leaves_.swap(merged);
+  log_.leaves_at = log_.end();
 }
 
 template <int D>

@@ -27,6 +27,9 @@
 
 namespace ab {
 
+/// A process-wide unique number for each new forest change history.
+std::uint64_t next_forest_epoch();
+
 /// Identifies one of the 2*D faces of a block.
 struct Face {
   int dim;   // 0..D-1
@@ -144,7 +147,7 @@ class Forest {
   /// needed to maintain the level-difference constraint (cascade). Events
   /// are returned in the order performed (cascaded refinements first), so a
   /// caller holding per-block data can transfer parent data to children in
-  /// order. Invalidates the neighbor table and leaf list.
+  /// order. Records the touched nodes (see changes_since()).
   std::vector<RefineEvent> refine(int id);
 
   /// True if the children of node `parent_id` (all must be leaves) can be
@@ -154,8 +157,39 @@ class Forest {
   /// Merge the children of `parent_id` back into it. Requires
   /// can_coarsen(parent_id). The returned event lists the destroyed child
   /// ids (data must be restricted *before* calling this, or via the event
-  /// and a caller-side copy). Invalidates the neighbor table and leaf list.
+  /// and a caller-side copy). Records the touched nodes.
   CoarsenEvent coarsen(int parent_id);
+
+  // --- Change tracking --------------------------------------------------
+  //
+  // Every refine/coarsen appends the ids of the nodes it touched (parent
+  // and children) to a change log. The leaf order, the neighbor table and
+  // external consumers (the ghost exchanger) each keep a position in it and
+  // update only what the touched nodes can change, so a regrid that
+  // changes a handful of blocks costs in proportion to those blocks.
+
+  /// A consumer's position in the change log. A default-constructed cursor
+  /// predates every history.
+  struct ChangeCursor {
+    std::uint64_t epoch = 0;
+    std::size_t pos = 0;
+  };
+
+  /// Append to `out` the ids of the nodes refine()/coarsen() touched since
+  /// `cursor` (each event's parent and children, in event order; ids may
+  /// repeat) and advance `cursor` to now. Returns false, leaving `out` as
+  /// it was, when `cursor` predates the current history — a new consumer,
+  /// a forest constructed, copied, assigned or touch_all()ed since, or a
+  /// consumer so far behind that the log dropped what it had not read (the
+  /// log keeps what the leaf order and neighbor table have not read, and
+  /// at most about one entry per node beyond that): then every node
+  /// counts as touched.
+  bool changes_since(ChangeCursor& cursor, std::vector<int>& out) const;
+
+  /// Start a new history in which every node counts as touched: the next
+  /// leaves(), rebuild_neighbor_table() and changes_since() recompute from
+  /// scratch.
+  void touch_all();
 
   // --- Neighbors --------------------------------------------------------
 
@@ -168,22 +202,29 @@ class Forest {
   /// difference (supports max_level_diff > 1). Empty at a domain boundary.
   std::vector<int> face_neighbor_leaves(int id, int dim, int side) const;
 
-  /// Rebuild the explicit neighbor table for all leaves. O(#leaves).
+  /// Bring the explicit neighbor table up to date: recomputes the records
+  /// of the leaves touched since the last rebuild and of their face
+  /// neighbors (every leaf after construction or touch_all()).
   void rebuild_neighbor_table();
-  bool neighbor_table_valid() const { return neighbor_table_valid_; }
+  bool neighbor_table_valid() const { return log_.table_at == log_.end(); }
 
   /// Fast table lookup of the neighbor record (the paper's explicit
   /// pointer). The table must be valid.
   const FaceNeighbor& neighbor(int id, int dim, int side) const {
-    AB_ASSERT(neighbor_table_valid_ && is_leaf(id));
+    AB_ASSERT(neighbor_table_valid() && is_leaf(id));
     return neighbor_table_[id][2 * dim + side];
   }
 
   // --- Leaf iteration ---------------------------------------------------
 
   /// Leaf ids ordered along the global Morton curve (parents would sort
-  /// just before their descendants). Rebuilt lazily after topology changes.
-  const std::vector<int>& leaves() const;
+  /// just before their descendants; ties on the key break by level).
+  /// Updated lazily after topology changes: touched nodes leave the order
+  /// and the ones that are leaves now are merged back at their positions.
+  const std::vector<int>& leaves() const {
+    if (log_.leaves_at != log_.end()) sync_leaves();
+    return leaves_;
+  }
 
   // --- Geometry ---------------------------------------------------------
 
@@ -280,7 +321,52 @@ class Forest {
   /// `min_level + max_level_diff`.
   void collect_constraint_violators(int id, int required_min_level,
                                     std::vector<int>& out) const;
+  /// Log a touched node; trims what the internal consumers have read once
+  /// the log outgrows the forest.
+  void touch(int id);
+  /// The nodes touched since log position `at` (every node id when `at`
+  /// is ChangeLog::kStale), into touched_.
+  void collect_touched(std::size_t at) const;
+  void sync_leaves() const;
+  std::array<FaceNeighbor, kNumFaces> neighbor_record(int id) const;
 
+  // The change log. Positions are absolute (entry `base` is nodes[0]); a
+  // position equal to kStale means "recompute everything". A copy or
+  // assignment starts a new epoch with an empty log, so every external
+  // consumer of the destination forest rebuilds in full; the internal
+  // consumers stay current if they were current in the source.
+  struct ChangeLog {
+    static constexpr std::size_t kStale = ~std::size_t{0};
+    std::uint64_t epoch = next_forest_epoch();
+    std::size_t base = 0;
+    std::vector<int> nodes;
+    mutable std::size_t leaves_at = kStale;  // position leaves_ reflects
+    std::size_t table_at = kStale;   // position the neighbor table reflects
+
+    ChangeLog() = default;
+    ChangeLog(const ChangeLog& o)
+        : leaves_at(o.carried(o.leaves_at)), table_at(o.carried(o.table_at)) {}
+    ChangeLog& operator=(const ChangeLog& o) {
+      const std::size_t l = o.carried(o.leaves_at);
+      const std::size_t t = o.carried(o.table_at);
+      restart();
+      leaves_at = l;
+      table_at = t;
+      return *this;
+    }
+    std::size_t end() const { return base + nodes.size(); }
+    /// A new epoch with an empty log; up-to-date positions stay current.
+    void restart() {
+      leaves_at = carried(leaves_at);
+      table_at = carried(table_at);
+      epoch = next_forest_epoch();
+      base = 0;
+      nodes.clear();
+    }
+    std::size_t carried(std::size_t at) const {
+      return at == end() ? 0 : kStale;
+    }
+  };
   Config cfg_;
   std::vector<Node> nodes_;
   std::vector<int> free_list_;
@@ -289,10 +375,13 @@ class Forest {
   int num_leaves_ = 0;
 
   std::vector<std::array<FaceNeighbor, kNumFaces>> neighbor_table_;
-  bool neighbor_table_valid_ = false;
 
+  ChangeLog log_;
   mutable std::vector<int> leaves_;
-  mutable bool leaves_valid_ = false;
+  // Scratch for the incremental updates: the touched ids of one update,
+  // and a per-node mark that is all zero between updates.
+  mutable std::vector<int> touched_;
+  mutable std::vector<char> mark_;
 };
 
 extern template class Forest<1>;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 namespace ab {
@@ -18,11 +19,43 @@ GhostExchanger<D>::GhostExchanger(const Forest<D>& forest,
     AB_REQUIRE(layout_.interior[d] % 2 == 0,
                "GhostExchanger: interior extents must be even so coarse/fine "
                "interfaces are cell-aligned");
+
+  // Interior/rim decomposition (layout geometry, same for every block): the
+  // core shrinks the interior by the ghost width so a radius<=ghost stencil
+  // stays inside owned cells; the rim is an onion peel of 2*D slabs, each
+  // dimension's pair shrunk in the already-peeled dimensions so the slabs
+  // are disjoint and tile interior minus core exactly. Dimension 0 is
+  // peeled last: the slabs thin in dimension 0 have short contiguous rows
+  // (poor per-row amortization in the sweep kernels), so peeling it last
+  // makes that pair as small as possible.
+  const int g = layout_.ghost;
+  bool has_core = true;
+  for (int d = 0; d < D; ++d)
+    if (layout_.interior[d] <= 2 * g) has_core = false;
+  if (!has_core) {
+    core_ = Box<D>{};
+    rim_boxes_.push_back(layout_.interior_box());
+  } else {
+    Box<D> cur = layout_.interior_box();
+    for (int d = D - 1; d >= 0; --d) {
+      Box<D> lo = cur;
+      lo.hi[d] = cur.lo[d] + g;
+      rim_boxes_.push_back(lo);
+      Box<D> hi = cur;
+      hi.lo[d] = cur.hi[d] - g;
+      rim_boxes_.push_back(hi);
+      cur.lo[d] += g;
+      cur.hi[d] -= g;
+    }
+    core_ = cur;
+  }
   rebuild();
 }
 
 template <int D>
-void GhostExchanger<D>::plan_face(int id, int dim, int side) {
+void GhostExchanger<D>::plan_face(int id, int dim, int side,
+                                  std::vector<GhostOp<D>>& out,
+                                  std::uint8_t& bfaces) const {
   const Forest<D>& f = *forest_;
   const IVec<D> m = layout_.interior;
   const int g = layout_.ghost;
@@ -30,7 +63,7 @@ void GhostExchanger<D>::plan_face(int id, int dim, int side) {
 
   auto nb = f.face_neighbor(id, dim, side);
   if (nb.kind == Forest<D>::NeighborKind::Boundary) {
-    boundary_faces_.push_back(BoundaryFace{id, dim, side});
+    bfaces = static_cast<std::uint8_t>(bfaces | (1u << (2 * dim + side)));
     return;
   }
 
@@ -49,7 +82,7 @@ void GhostExchanger<D>::plan_face(int id, int dim, int side) {
     op.dst_box = slab;
     op.a = IVec<D>{};
     op.a[dim] = side ? -m[dim] : m[dim];
-    ops_.push_back(op);
+    out.push_back(op);
     return;
   }
 
@@ -80,7 +113,7 @@ void GhostExchanger<D>::plan_face(int id, int dim, int side) {
       }
       op.dst_box = intersect(slab, cover);
       AB_ASSERT(!op.dst_box.empty());
-      ops_.push_back(op);
+      out.push_back(op);
     }
     return;
   }
@@ -126,93 +159,176 @@ void GhostExchanger<D>::plan_face(int id, int dim, int side) {
   }
   op.dst_box = intersect(slab, cover);
   AB_ASSERT(op.dst_box == slab);  // under 2:1, the coarse block spans the face
-  ops_.push_back(op);
+  out.push_back(op);
 }
 
 template <int D>
 void GhostExchanger<D>::rebuild() {
-  ops_.clear();
-  boundary_faces_.clear();
-  const auto& leaves = forest_->leaves();
-  ops_.reserve(leaves.size() * Forest<D>::kNumFaces);
-  for (int id : leaves)
+  const Forest<D>& f = *forest_;
+  const auto cap = static_cast<std::size_t>(f.node_capacity());
+  std::vector<int> touched;
+  if (!f.changes_since(cursor_, touched)) {
+    // A history this plan has not followed: every node counts as touched,
+    // and nothing of the old plan (node ids of another topology) is kept.
+    touched.resize(cap);
+    std::iota(touched.begin(), touched.end(), 0);
+    ops_.clear();
+    dst_ops_.clear();
+    dst_bfaces_.clear();
+    prolong_srcs_.clear();
+    plan_stats_ = GhostPlanStats{};
+  }
+  dst_ops_.resize(cap);
+  dst_bfaces_.resize(cap, 0);
+  prolong_srcs_.resize(cap);
+  fresh_at_.resize(cap, -1);
+
+  // The re-planned destinations: their fresh ops, and where each one's sit.
+  struct FreshPlan {
+    int id;
+    OpRange ops;  // in `fresh`
+    std::uint8_t bfaces;
+  };
+  std::vector<GhostOp<D>> fresh;
+  std::vector<FreshPlan> plans;
+
+  // plan_stats_ follows the plan: a destination's ops leave it when the
+  // destination loses its plan, and its fresh ops join it.
+  auto count = [this](const GhostOp<D>& op, int sign) {
+    const int kind = static_cast<int>(op.kind);
+    plan_stats_.ops[kind] += sign;
+    plan_stats_.cells[kind] += sign * op.cells();
+  };
+  auto drop = [&](int id) {
+    const auto u = static_cast<std::size_t>(id);
+    const OpRange r = dst_ops_[u];
+    for (int k = r.first; k < r.first + r.count; ++k)
+      count(ops_[static_cast<std::size_t>(k)], -1);
+    dst_ops_[u] = OpRange{};
+    dst_bfaces_[u] = 0;
+    prolong_srcs_[u].clear();
+  };
+  auto replan = [&](int id) {
+    if (fresh_at_[static_cast<std::size_t>(id)] >= 0) return;
+    drop(id);
+    fresh_at_[static_cast<std::size_t>(id)] = static_cast<int>(plans.size());
+    FreshPlan p{id, {static_cast<int>(fresh.size()), 0}, 0};
     for (int dim = 0; dim < D; ++dim)
-      for (int side = 0; side < 2; ++side) plan_face(id, dim, side);
+      for (int side = 0; side < 2; ++side)
+        plan_face(id, dim, side, fresh, p.bfaces);
+    p.ops.count = static_cast<int>(fresh.size()) - p.ops.first;
+    auto& srcs = prolong_srcs_[static_cast<std::size_t>(id)];
+    for (int k = p.ops.first; k < p.ops.first + p.ops.count; ++k) {
+      const GhostOp<D>& op = fresh[static_cast<std::size_t>(k)];
+      count(op, +1);
+      if (op.kind == GhostOpKind::Prolong &&
+          std::find(srcs.begin(), srcs.end(), op.src) == srcs.end())
+        srcs.push_back(op.src);
+    }
+    plans.push_back(p);
+  };
+  // Sources of the fresh ops of plans[0, n) that pass `want`, re-planned.
+  auto replan_sources = [&](std::size_t n, auto want) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const OpRange r = plans[i].ops;
+      for (int k = r.first; k < r.first + r.count; ++k) {
+        const GhostOp<D>& op = fresh[static_cast<std::size_t>(k)];
+        if (want(op)) replan(op.src);  // by value: `fresh` may grow
+      }
+    }
+  };
+
+  // 1. Touched nodes lose their plan; those that are leaves now re-plan.
+  for (int id : touched) {
+    if (fresh_at_[static_cast<std::size_t>(id)] >= 0) continue;  // repeat
+    if (f.is_live(id) && f.is_leaf(id))
+      replan(id);
+    else
+      drop(id);
+  }
+  // 2. Their face neighbors (the sources of their ops: every leaf across a
+  //    touched leaf's face) see a changed face. A region keeps its cover
+  //    through refine/coarsen, so every leaf that bordered a removed node
+  //    borders a touched leaf now.
+  replan_sources(plans.size(), [](const GhostOp<D>&) { return true; });
+  // 3. A Prolong op's `valid` box depends on the coarse source's other
+  //    faces, so every finer neighbor of a leaf with a changed face — the
+  //    source of one of its Restrict ops — re-plans too.
+  replan_sources(plans.size(), [](const GhostOp<D>& op) {
+    return op.kind == GhostOpKind::Restrict;
+  });
+
+  // Reassemble ops_ in leaf order, in place. Kept destinations keep their
+  // relative order, so their ops move as runs (adjacent before and after).
+  // A run moving left never lands on a source still to be read, nor does
+  // a run moving right once every run to its right has moved: left movers
+  // go first, front to back, then right movers back to front. Fresh plans
+  // fill the gaps last.
+  struct Move {
+    int from, to, count;
+  };
+  std::vector<Move> runs;    // kept ops, within ops_
+  std::vector<Move> placed;  // fresh plans, from `fresh` into ops_
+  boundary_faces_.clear();
+  int size = 0;
+  for (int id : f.leaves()) {
+    const auto u = static_cast<std::size_t>(id);
+    const int at = fresh_at_[u];
+    if (at >= 0) {
+      const FreshPlan& p = plans[static_cast<std::size_t>(at)];
+      placed.push_back({p.ops.first, size, p.ops.count});
+      dst_ops_[u] = OpRange{size, p.ops.count};
+      dst_bfaces_[u] = p.bfaces;
+    } else {
+      const OpRange r = dst_ops_[u];
+      if (!runs.empty() && runs.back().from + runs.back().count == r.first &&
+          runs.back().to + runs.back().count == size)
+        runs.back().count += r.count;
+      else
+        runs.push_back({r.first, size, r.count});
+      dst_ops_[u] = OpRange{size, r.count};
+    }
+    size += dst_ops_[u].count;
+    for (int bit = 0; bit < 2 * D; ++bit)
+      if ((dst_bfaces_[u] >> bit) & 1)
+        boundary_faces_.push_back(BoundaryFace{id, bit >> 1, bit & 1});
+  }
+  for (const FreshPlan& p : plans)
+    fresh_at_[static_cast<std::size_t>(p.id)] = -1;
+  if (size > static_cast<int>(ops_.size()))
+    ops_.resize(static_cast<std::size_t>(size));
+  const auto op_at = [this](int k) { return ops_.begin() + k; };
+  for (const Move& m : runs)
+    if (m.to < m.from)
+      std::copy(op_at(m.from), op_at(m.from + m.count), op_at(m.to));
+  for (auto m = runs.rbegin(); m != runs.rend(); ++m)
+    if (m->to > m->from)
+      std::copy_backward(op_at(m->from), op_at(m->from + m->count),
+                         op_at(m->to + m->count));
+  for (const Move& m : placed)
+    std::copy(fresh.begin() + m.from, fresh.begin() + m.from + m.count,
+              op_at(m.to));
+  ops_.resize(static_cast<std::size_t>(size));
 
   // Batched execution order: group by kind (SameCopy, Restrict, Prolong),
-  // then by destination, so fill() runs each kind's tight loop back to back
-  // and writes each destination's ghost ring in one burst. ops_ itself
-  // stays in planning order (the parallel-machine simulator walks it).
+  // then by destination id, ops of one destination in plan order — so
+  // fill() runs each kind's tight loop back to back and writes each
+  // destination's ghost ring in one burst. One pass over destination ids
+  // places every op at its kind's next slot. ops_ itself stays in planning
+  // order (the parallel-machine simulator walks it).
+  int slot[3] = {0, static_cast<int>(plan_stats_.ops[0]),
+                 static_cast<int>(plan_stats_.ops[0] + plan_stats_.ops[1])};
+  phase1_count_ = slot[2];
   exec_order_.resize(ops_.size());
-  for (int i = 0; i < static_cast<int>(ops_.size()); ++i) exec_order_[i] = i;
-  std::stable_sort(exec_order_.begin(), exec_order_.end(),
-                   [this](int ia, int ib) {
-                     const GhostOp<D>& a = ops_[ia];
-                     const GhostOp<D>& b = ops_[ib];
-                     if (a.kind != b.kind) return a.kind < b.kind;
-                     return a.dst < b.dst;
-                   });
-  phase1_count_ = 0;
-  for (const auto& op : ops_)
-    if (op.kind != GhostOpKind::Prolong) ++phase1_count_;
+  for (const OpRange& r : dst_ops_)
+    for (int k = r.first; k < r.first + r.count; ++k)
+      exec_order_[static_cast<std::size_t>(
+          slot[static_cast<int>(ops_[static_cast<std::size_t>(k)].kind)]++)] =
+          k;
 
-  plan_stats_ = GhostPlanStats{};
-  for (const auto& op : ops_) {
-    const int k = static_cast<int>(op.kind);
-    ++plan_stats_.ops[k];
-    plan_stats_.cells[k] += op.cells();
-  }
-
-  // Per-destination plan for the task-graph stepper: split each block's
-  // incoming ops by phase, preserving exec_order_'s relative order so the
-  // per-block path writes the same bytes in the same op order as fill(),
-  // and record the distinct Prolong sources (the dependency edges).
-  dst_phase1_.assign(static_cast<std::size_t>(forest_->node_capacity()), {});
-  dst_prolong_.assign(static_cast<std::size_t>(forest_->node_capacity()), {});
-  prolong_srcs_.assign(static_cast<std::size_t>(forest_->node_capacity()), {});
-  for (int i : exec_order_) {
-    const GhostOp<D>& op = ops_[static_cast<std::size_t>(i)];
-    const auto dst = static_cast<std::size_t>(op.dst);
-    if (op.kind == GhostOpKind::Prolong) {
-      dst_prolong_[dst].push_back(i);
-      auto& srcs = prolong_srcs_[dst];
-      if (std::find(srcs.begin(), srcs.end(), op.src) == srcs.end())
-        srcs.push_back(op.src);
-    } else {
-      dst_phase1_[dst].push_back(i);
-    }
-  }
-
-  // Interior/rim decomposition (layout geometry, same for every block): the
-  // core shrinks the interior by the ghost width so a radius<=ghost stencil
-  // stays inside owned cells; the rim is an onion peel of 2*D slabs, each
-  // dimension's pair shrunk in the already-peeled dimensions so the slabs
-  // are disjoint and tile interior minus core exactly. Dimension 0 is
-  // peeled last: the slabs thin in dimension 0 have short contiguous rows
-  // (poor per-row amortization in the sweep kernels), so peeling it last
-  // makes that pair as small as possible.
-  const int g = layout_.ghost;
-  rim_boxes_.clear();
-  bool has_core = true;
-  for (int d = 0; d < D; ++d)
-    if (layout_.interior[d] <= 2 * g) has_core = false;
-  if (!has_core) {
-    core_ = Box<D>{};
-    rim_boxes_.push_back(layout_.interior_box());
-  } else {
-    Box<D> cur = layout_.interior_box();
-    for (int d = D - 1; d >= 0; --d) {
-      Box<D> lo = cur;
-      lo.hi[d] = cur.lo[d] + g;
-      rim_boxes_.push_back(lo);
-      Box<D> hi = cur;
-      hi.lo[d] = cur.hi[d] - g;
-      rim_boxes_.push_back(hi);
-      cur.lo[d] += g;
-      cur.hi[d] -= g;
-    }
-    core_ = cur;
-  }
+  is_prolong_src_.assign(cap, 0);
+  for (const auto& srcs : prolong_srcs_)
+    for (int s : srcs) is_prolong_src_[static_cast<std::size_t>(s)] = 1;
 }
 
 namespace {
@@ -332,15 +448,21 @@ void run_op_rows(const BlockLayout<D> lay, Prolongation kind,
 }  // namespace
 
 template <int D>
-void GhostExchanger<D>::apply(BlockStore<D>& store,
-                              const GhostOp<D>& op) const {
-  double* const dst = store.view(op.dst).base;
-  run_op_rows<D>(layout_, prolongation_,
-                 std::as_const(store).view(op.src).base, op,
-                 [dst, fs = layout_.field_stride(),
-                  lay = layout_](int v, IVec<D> q, int) {
+void run_ghost_op(const BlockLayout<D>& layout, Prolongation prolongation,
+                  const double* src, const GhostOp<D>& op, double* dst) {
+  run_op_rows<D>(layout, prolongation, src, op,
+                 [dst, fs = layout.field_stride(),
+                  lay = layout](int v, IVec<D> q, int) {
                    return dst + v * fs + lay.offset(q);
                  });
+}
+
+template <int D>
+void GhostExchanger<D>::apply(BlockStore<D>& store,
+                              const GhostOp<D>& op) const {
+  run_ghost_op<D>(layout_, prolongation_,
+                  std::as_const(store).view(op.src).base, op,
+                  store.view(op.dst).base);
 }
 
 template <int D>
@@ -396,15 +518,22 @@ void GhostExchanger<D>::fill(BlockStore<D>& store, ThreadPool* pool) const {
 template <int D>
 void GhostExchanger<D>::fill_block_phase1(BlockStore<D>& store,
                                           int dst) const {
-  for (int i : dst_phase1_[static_cast<std::size_t>(dst)])
-    apply(store, ops_[static_cast<std::size_t>(i)]);
+  // fill()'s relative order: the destination's SameCopy ops, then its
+  // Restrict ops, each in plan order.
+  const OpRange r = dst_ops_[static_cast<std::size_t>(dst)];
+  for (GhostOpKind kind : {GhostOpKind::SameCopy, GhostOpKind::Restrict})
+    for (int k = r.first; k < r.first + r.count; ++k)
+      if (ops_[static_cast<std::size_t>(k)].kind == kind)
+        apply(store, ops_[static_cast<std::size_t>(k)]);
 }
 
 template <int D>
 void GhostExchanger<D>::fill_block_prolong(BlockStore<D>& store,
                                            int dst) const {
-  for (int i : dst_prolong_[static_cast<std::size_t>(dst)])
-    apply(store, ops_[static_cast<std::size_t>(i)]);
+  const OpRange r = dst_ops_[static_cast<std::size_t>(dst)];
+  for (int k = r.first; k < r.first + r.count; ++k)
+    if (ops_[static_cast<std::size_t>(k)].kind == GhostOpKind::Prolong)
+      apply(store, ops_[static_cast<std::size_t>(k)]);
 }
 
 template <int D>
@@ -417,5 +546,11 @@ std::int64_t GhostExchanger<D>::total_cells() const {
 template class GhostExchanger<1>;
 template class GhostExchanger<2>;
 template class GhostExchanger<3>;
+template void run_ghost_op<1>(const BlockLayout<1>&, Prolongation,
+                              const double*, const GhostOp<1>&, double*);
+template void run_ghost_op<2>(const BlockLayout<2>&, Prolongation,
+                              const double*, const GhostOp<2>&, double*);
+template void run_ghost_op<3>(const BlockLayout<3>&, Prolongation,
+                              const double*, const GhostOp<3>&, double*);
 
 }  // namespace ab

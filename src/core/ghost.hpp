@@ -80,6 +80,16 @@ struct GhostPlanStats {
   std::int64_t cells[3] = {0, 0, 0};  ///< destination cells by kind
 };
 
+/// The row executor behind GhostExchanger::apply, on raw block data:
+/// evaluate `op` from `src` (the data of block op.src) into the dst_box
+/// cells of `dst` (a block laid out the same way). Refinement and
+/// coarsening run it too: a child's interior is a Prolong op from its
+/// parent, a parent's quadrant a Restrict op from one child
+/// (core/regrid_data.hpp).
+template <int D>
+void run_ghost_op(const BlockLayout<D>& layout, Prolongation prolongation,
+                  const double* src, const GhostOp<D>& op, double* dst);
+
 template <int D>
 class GhostExchanger {
  public:
@@ -88,7 +98,14 @@ class GhostExchanger {
   GhostExchanger(const Forest<D>& forest, const BlockLayout<D>& layout,
                  Prolongation prolongation = Prolongation::LimitedLinear);
 
-  /// Recompute the plan after forest topology changed.
+  /// Bring the plan up to date after forest topology changed. Only the
+  /// destinations whose ops can change are re-planned: the leaves the
+  /// forest's change log names, their face neighbors, and the finer
+  /// neighbors of all those (their Prolong ops' `valid` box reads the
+  /// coarse source's other faces). Every other destination keeps its ops;
+  /// ops() is then reassembled in leaf order and exec_order() re-derived
+  /// without sorting. After construction, or when the forest was copied,
+  /// assigned or touch_all()ed, every leaf counts as touched.
   void rebuild();
 
   /// Execute the plan: fill the face-ghost cells of every leaf block of
@@ -127,6 +144,23 @@ class GhostExchanger {
   /// block has no coarser neighbor).
   const std::vector<int>& prolong_sources(int dst) const {
     return prolong_srcs_[static_cast<std::size_t>(dst)];
+  }
+
+  /// Whether some Prolong op reads block `id` (so its phase-1 ghosts must
+  /// be filled before that op runs).
+  bool is_prolong_source(int id) const {
+    return is_prolong_src_[static_cast<std::size_t>(id)] != 0;
+  }
+
+  /// The ops into one destination: ops()[first, first + count). They are
+  /// contiguous because the plan runs leaf by leaf.
+  struct OpRange {
+    int first = 0;
+    int count = 0;
+    bool operator==(const OpRange&) const = default;
+  };
+  OpRange dst_ops(int dst) const {
+    return dst_ops_[static_cast<std::size_t>(dst)];
   }
 
   /// Apply a single op from the plan (advanced drivers — e.g. the
@@ -187,23 +221,31 @@ class GhostExchanger {
   const std::vector<Box<D>>& rim_boxes() const { return rim_boxes_; }
 
  private:
-  void plan_face(int id, int dim, int side);
+  /// Plan the ops into face (dim, side) of leaf `id`, appending to `out`;
+  /// a domain-boundary face sets its bit (2*dim + side) in `bfaces`.
+  void plan_face(int id, int dim, int side, std::vector<GhostOp<D>>& out,
+                 std::uint8_t& bfaces) const;
 
   const Forest<D>* forest_;
   BlockLayout<D> layout_;
   Prolongation prolongation_;
-  std::vector<GhostOp<D>> ops_;
+  std::vector<GhostOp<D>> ops_;  // leaf order, then dim, side, child
   std::vector<int> exec_order_;  // ops_ indices, batched execution order
   int phase1_count_ = 0;
-  // Per-destination plan for dependency-driven stepping, split by phase and
-  // kept in fill()'s relative order.
-  std::vector<std::vector<int>> dst_phase1_;
-  std::vector<std::vector<int>> dst_prolong_;
+  // Per node id (zero/empty unless a leaf): where its ops sit in ops_, its
+  // boundary faces as a bit mask, and its distinct Prolong sources.
+  std::vector<OpRange> dst_ops_;
+  std::vector<std::uint8_t> dst_bfaces_;
   std::vector<std::vector<int>> prolong_srcs_;
+  std::vector<char> is_prolong_src_;
   Box<D> core_;
   std::vector<Box<D>> rim_boxes_;
   std::vector<BoundaryFace> boundary_faces_;
   GhostPlanStats plan_stats_;
+  typename Forest<D>::ChangeCursor cursor_;  // forest history planned for
+  // rebuild() scratch, per node id: index of its fresh plan, -1 when it
+  // was not re-planned (all -1 between rebuilds).
+  std::vector<int> fresh_at_;
 };
 
 extern template class GhostExchanger<1>;

@@ -33,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -439,6 +438,8 @@ class RankSolver {
     // (on the wire path they are already buffered frames that would
     // otherwise corrupt the next topo round).
     drain_topo_all();
+    // A freshly assigned forest starts a new change history, so the
+    // neighbor table and the exchanger rebuild in full.
     forest_ = Forest<D>(cfg_.solver.forest);
     BlockStore<D> global(layout_);
     time_ = load_checkpoint<D>(path, forest_, global);
@@ -512,11 +513,25 @@ class RankSolver {
     // The previous regrid's deferred topology deltas must land before a
     // new round starts (normally they drained during stage compute).
     drain_topo_all();
+    obs::Telemetry* const tel = cfg_.solver.telemetry;
     AdaptResult res;
-    std::vector<std::pair<int, AdaptFlag>> flags;
-    flags.reserve(forest_.leaves().size());
-    for (int id : forest_.leaves())
-      flags.emplace_back(id, criterion(forest_, store_of(id), id));
+    // Flags by node id, as in AmrSolver::adapt.
+    std::vector<int> flagged;
+    std::vector<AdaptFlag> flags;
+    {
+      obs::PhaseScope fs(tel, "regrid.flag");
+      flagged = forest_.leaves();
+      flags.assign(static_cast<std::size_t>(forest_.node_capacity()),
+                   AdaptFlag::Keep);
+      for (int id : flagged)
+        flags[static_cast<std::size_t>(id)] =
+            criterion(forest_, store_of(id), id);
+    }
+    auto flag_of = [&](int id) {
+      return id < static_cast<int>(flags.size())
+                 ? flags[static_cast<std::size_t>(id)]
+                 : AdaptFlag::Keep;
+    };
 
     // Distributed metadata: each rank records the topology changes it
     // performs, to broadcast (binarized-octree encoded) to its neighbor
@@ -524,98 +539,101 @@ class RankSolver {
     std::vector<std::vector<TopoDeltaRecord<D>>> deltas;
     if (distmeta_) deltas.resize(static_cast<std::size_t>(cfg_.npes));
 
-    // Refinement (cascades may refine additional blocks).
-    for (auto [id, flag] : flags) {
-      if (flag != AdaptFlag::Refine) continue;
-      if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
-      if (forest_.level(id) >= cfg_.solver.forest.max_level) continue;
-      for (const auto& ev : forest_.refine(id)) {
-        const int pe = owner_at(ev.parent);
+    RegridCost rc;
+    {
+      obs::PhaseScope ts(tel, "regrid.transfer");
+      // Refinement (cascades may refine additional blocks).
+      for (int id : flagged) {
+        if (flag_of(id) != AdaptFlag::Refine) continue;
+        if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
+        if (forest_.level(id) >= cfg_.solver.forest.max_level) continue;
+        for (const auto& ev : forest_.refine(id)) {
+          const int pe = owner_at(ev.parent);
+          if (distmeta_)
+            deltas[static_cast<std::size_t>(pe)].push_back(
+                {TopoDeltaOp::Refine, forest_.level(ev.parent),
+                 forest_.coords(ev.parent)});
+          prolong_to_children<D>(stores_[static_cast<std::size_t>(pe)], ev,
+                                 cfg_.solver.prolongation);
+          for (int c : ev.children) {
+            set_owner_entry(c, pe);
+            scratch_[static_cast<std::size_t>(pe)].ensure(c);
+          }
+          scratch_[static_cast<std::size_t>(pe)].release(ev.parent);
+          owner_[static_cast<std::size_t>(ev.parent)] = -1;
+          ++res.refined;
+        }
+      }
+
+      // Coarsening: same family selection as AmrSolver::adapt.
+      std::vector<int> parents;
+      for (int id : flagged) {
+        if (flag_of(id) != AdaptFlag::Coarsen) continue;
+        if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
+        const int p = forest_.parent(id);
+        if (p < 0) continue;
+        if (forest_.child_index(id) != 0) continue;  // visit once per family
+        parents.push_back(p);
+      }
+      board_.clear();
+      if (msg_trace_.active())
+        msg_trace_.set_context(step_index_, obs::MsgPhase::Gather,
+                               ps.span_id());
+      const std::int64_t payload = block_payload_doubles<D>(layout_);
+      std::vector<double> buf(static_cast<std::size_t>(payload));
+      for (int p : parents) {
+        if (!forest_.is_live(p) || forest_.is_leaf(p)) continue;
+        bool all = true;
+        const auto& kids = forest_.children(p);
+        for (int c : kids) {
+          if (!forest_.is_live(c) || !forest_.is_leaf(c) ||
+              flag_of(c) != AdaptFlag::Coarsen) {
+            all = false;
+            break;
+          }
+        }
+        if (!all || !forest_.can_coarsen(p)) continue;
+        // Gather remote siblings onto the surviving parent's rank (the first
+        // child's owner), then restrict locally there.
+        const int pe = owner_at(kids[0]);
+        for (int c : kids) {
+          const int cp = owner_at(c);
+          if (cp == pe) continue;
+          pack_block_payload<D>(stores_[static_cast<std::size_t>(cp)], c,
+                                buf.data());
+          board_.send(cp, pe, buf.data(), payload);
+          unpack_block_payload<D>(stores_[static_cast<std::size_t>(pe)], c,
+                                  board_.receive(cp, pe, payload));
+          stores_[static_cast<std::size_t>(cp)].release(c);
+        }
+        restrict_to_parent<D>(stores_[static_cast<std::size_t>(pe)], p, kids);
+        scratch_[static_cast<std::size_t>(pe)].ensure(p);
+        for (int c : kids) {
+          scratch_[static_cast<std::size_t>(owner_at(c))].release(c);
+          owner_[static_cast<std::size_t>(c)] = -1;
+        }
+        set_owner_entry(p, pe);
         if (distmeta_)
           deltas[static_cast<std::size_t>(pe)].push_back(
-              {TopoDeltaOp::Refine, forest_.level(ev.parent),
-               forest_.coords(ev.parent)});
-        prolong_to_children<D>(stores_[static_cast<std::size_t>(pe)], ev,
-                               cfg_.solver.prolongation);
-        for (int c : ev.children) {
-          set_owner_entry(c, pe);
-          scratch_[static_cast<std::size_t>(pe)].ensure(c);
-        }
-        scratch_[static_cast<std::size_t>(pe)].release(ev.parent);
-        owner_[static_cast<std::size_t>(ev.parent)] = -1;
-        ++res.refined;
+              {TopoDeltaOp::Coarsen, forest_.level(p), forest_.coords(p)});
+        forest_.coarsen(p);
+        ++res.coarsened;
       }
+      rc.gather_messages = board_.messages();
+      rc.gather_bytes = board_.bytes();
+      board_.flush_trace();
     }
-
-    // Coarsening: same family selection as AmrSolver::adapt.
-    std::vector<int> parents;
-    for (auto [id, flag] : flags) {
-      if (flag != AdaptFlag::Coarsen) continue;
-      if (!forest_.is_live(id) || !forest_.is_leaf(id)) continue;
-      const int p = forest_.parent(id);
-      if (p < 0) continue;
-      if (forest_.child_index(id) != 0) continue;  // visit once per family
-      parents.push_back(p);
-    }
-    std::unordered_map<int, AdaptFlag> flag_map;
-    flag_map.reserve(flags.size());
-    for (auto [fid, fl] : flags) flag_map.emplace(fid, fl);
-    auto flag_of = [&](int id) {
-      auto it = flag_map.find(id);
-      return it == flag_map.end() ? AdaptFlag::Keep : it->second;
-    };
-    RegridCost rc;
-    board_.clear();
-    if (msg_trace_.active())
-      msg_trace_.set_context(step_index_, obs::MsgPhase::Gather,
-                             ps.span_id());
-    const std::int64_t payload = block_payload_doubles<D>(layout_);
-    std::vector<double> buf(static_cast<std::size_t>(payload));
-    for (int p : parents) {
-      if (!forest_.is_live(p) || forest_.is_leaf(p)) continue;
-      bool all = true;
-      const auto& kids = forest_.children(p);
-      for (int c : kids) {
-        if (!forest_.is_live(c) || !forest_.is_leaf(c) ||
-            flag_of(c) != AdaptFlag::Coarsen) {
-          all = false;
-          break;
-        }
-      }
-      if (!all || !forest_.can_coarsen(p)) continue;
-      // Gather remote siblings onto the surviving parent's rank (the first
-      // child's owner), then restrict locally there.
-      const int pe = owner_at(kids[0]);
-      for (int c : kids) {
-        const int cp = owner_at(c);
-        if (cp == pe) continue;
-        pack_block_payload<D>(stores_[static_cast<std::size_t>(cp)], c,
-                              buf.data());
-        board_.send(cp, pe, buf.data(), payload);
-        unpack_block_payload<D>(stores_[static_cast<std::size_t>(pe)], c,
-                                board_.receive(cp, pe, payload));
-        stores_[static_cast<std::size_t>(cp)].release(c);
-      }
-      restrict_to_parent<D>(stores_[static_cast<std::size_t>(pe)], p, kids);
-      scratch_[static_cast<std::size_t>(pe)].ensure(p);
-      for (int c : kids) {
-        scratch_[static_cast<std::size_t>(owner_at(c))].release(c);
-        owner_[static_cast<std::size_t>(c)] = -1;
-      }
-      set_owner_entry(p, pe);
-      if (distmeta_)
-        deltas[static_cast<std::size_t>(pe)].push_back(
-            {TopoDeltaOp::Coarsen, forest_.level(p), forest_.coords(p)});
-      forest_.coarsen(p);
-      ++res.coarsened;
-    }
-    rc.gather_messages = board_.messages();
-    rc.gather_bytes = board_.bytes();
-    board_.flush_trace();
 
     if (res.refined || res.coarsened) {
-      forest_.rebuild_neighbor_table();
-      exchanger_.rebuild();
+      {
+        obs::PhaseScope ts(tel, "regrid.topology");
+        forest_.leaves();  // merge the new leaves into the curve order
+        forest_.rebuild_neighbor_table();
+      }
+      {
+        obs::PhaseScope ts(tel, "regrid.plan");
+        exchanger_.rebuild();
+      }
       // Load re-balancing, as the paper prescribes after every adaptation:
       // recompute the partition for the new leaf set and migrate every
       // block whose owner changed.
@@ -642,7 +660,10 @@ class RankSolver {
       // validate hints instead of probing.
       if (distmeta_ && cfg_.hull_prefetch && topo_ != nullptr)
         exchange_hull_prefetch(rc, ps.span_id());
-      rebuild_rank_structures();
+      {
+        obs::PhaseScope ts(tel, "regrid.plan");
+        rebuild_rank_structures();
+      }
       if (distmeta_) exchange_topology_deltas(deltas, rc, ps.span_id());
       rc.migrated_blocks = ms.blocks;
       rc.migration_messages = ms.messages;

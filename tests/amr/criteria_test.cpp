@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+
+#include "support/criteria_reference.hpp"
+#include "support/rng.hpp"
 
 namespace ab {
 namespace {
@@ -188,6 +194,55 @@ TEST(Criteria, CurlThreeDimensional) {
     v.at(2, p) = 0.0;
   });
   EXPECT_NEAR(max_undivided_curl<3>(store, b, 0), 2.0, 1e-12);
+}
+
+// The row-form criteria return the per-cell reference's value bit for bit
+// on padded layouts: random data with ties, zeros, values below the jump
+// floor, and (in the second pass) NaNs. The ghost ring holds huge values,
+// so a stencil that read past the interior would change the result.
+template <int D>
+void check_criteria_rows(int pad0, bool with_nan) {
+  SCOPED_TRACE("D=" + std::to_string(D) + " pad0=" + std::to_string(pad0) +
+               (with_nan ? " nan" : ""));
+  typename Forest<D>::Config c;
+  c.root_blocks = IVec<D>(1);
+  Forest<D> f(c);
+  IVec<D> m;
+  for (int d = 0; d < D; ++d) m[d] = 5 + d;
+  const BlockLayout<D> lay(m, 2, 2, pad0);
+  BlockStore<D> store(lay);
+  const int id = f.leaves()[0];
+  store.ensure(id);
+  BlockView<D> v = store.view(id);
+  testing::SplitMix64 rng(17 + D + 2 * pad0);
+  for (int var = 0; var < lay.nvar; ++var)
+    for_each_cell<D>(lay.ghosted_box(), [&](IVec<D> p) { v.at(var, p) = 1e6; });
+  for (int var = 0; var < lay.nvar; ++var)
+    for_each_cell<D>(lay.interior_box(), [&](IVec<D> p) {
+      const auto r = rng.below(8);
+      double x = rng.uniform(-2.0, 2.0);
+      if (r == 0) x = 0.0;
+      if (r == 1) x = 1.5;  // ties
+      if (r == 2) x = 1e-14;  // below the jump floor
+      if (with_nan && r == 3) x = std::numeric_limits<double>::quiet_NaN();
+      v.at(var, p) = x;
+    });
+  for (int var = 0; var < lay.nvar; ++var) {
+    const double a = max_relative_jump<D>(store, id, var);
+    const double b = max_relative_jump_reference<D>(store, id, var);
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << a << " vs " << b;
+    const double e = max_lohner_estimate<D>(store, id, var);
+    const double r = max_lohner_estimate_reference<D>(store, id, var);
+    EXPECT_EQ(std::memcmp(&e, &r, sizeof e), 0) << e << " vs " << r;
+  }
+}
+
+TEST(Criteria, RowFormsMatchPerCellReference) {
+  for (int pad0 : {0, 1})
+    for (bool nan : {false, true}) {
+      check_criteria_rows<2>(pad0, nan);
+      check_criteria_rows<3>(pad0, nan);
+    }
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+
+#include "support/regrid_reference.hpp"
+#include "support/rng.hpp"
 
 namespace ab {
 namespace {
@@ -200,6 +204,78 @@ TEST(RegridData, ProlongRequiresParentData) {
   EXPECT_THROW(
       prolong_to_children<2>(fx.store, events[0], Prolongation::Constant),
       Error);
+}
+
+// The row transfer (the ghost executor's rows) writes exactly the per-cell
+// reference's bytes, and nothing outside the target interior: whole blocks
+// (ghosts and padding included, pre-filled with a sentinel) are compared
+// bitwise. Parent data has sign changes and ties so minmod takes every
+// branch; non-cubic extents catch a swapped stride.
+template <int D>
+void check_transfer_rows(Prolongation kind, int pad0) {
+  SCOPED_TRACE("D=" + std::to_string(D) + " kind=" +
+               std::to_string(static_cast<int>(kind)) +
+               " pad0=" + std::to_string(pad0));
+  typename Forest<D>::Config c;
+  c.root_blocks = IVec<D>(1);
+  c.max_level = 2;
+  Forest<D> f(c);
+  IVec<D> m;
+  for (int d = 0; d < D; ++d) m[d] = 4 + 2 * d;
+  const BlockLayout<D> lay(m, 2, 3, pad0);
+  BlockStore<D> rows(lay), ref(lay);
+  const auto n = static_cast<std::size_t>(lay.block_doubles());
+  testing::SplitMix64 rng(40 + D);
+  auto fill_random = [&](int id) {
+    double* a = rows.view(id).base;
+    double* b = ref.view(id).base;
+    for (std::size_t i = 0; i < n; ++i)
+      a[i] = b[i] = rng.below(5) == 0 ? 0.5 : rng.uniform(-1.0, 1.0);
+  };
+  auto fill_sentinel = [&](BlockStore<D>& s, int id) {
+    double* a = s.view(id).base;
+    for (std::size_t i = 0; i < n; ++i) a[i] = -7.25;
+  };
+  auto expect_same_block = [&](int id) {
+    EXPECT_EQ(std::memcmp(std::as_const(rows).view(id).base,
+                          std::as_const(ref).view(id).base,
+                          n * sizeof(double)),
+              0)
+        << "block " << id;
+  };
+
+  const int root = f.leaves()[0];
+  rows.ensure(root);
+  ref.ensure(root);
+  fill_random(root);
+  const auto ev = f.refine(root)[0];
+  for (int ch : ev.children) {
+    rows.ensure(ch);
+    ref.ensure(ch);
+    fill_sentinel(rows, ch);
+    fill_sentinel(ref, ch);
+  }
+  prolong_to_children<D>(rows, ev, kind);
+  prolong_to_children_reference<D>(ref, root, ev.children, kind);
+  for (int ch : ev.children) expect_same_block(ch);
+
+  for (int ch : ev.children) fill_random(ch);
+  rows.ensure(root);
+  fill_sentinel(rows, root);
+  fill_sentinel(ref, root);
+  restrict_to_parent<D>(rows, root, ev.children);
+  restrict_to_parent_reference<D>(ref, root, ev.children);
+  expect_same_block(root);
+}
+
+TEST(RegridData, RowTransferMatchesPerCellReference) {
+  for (Prolongation kind : {Prolongation::Constant,
+                            Prolongation::LimitedLinear, Prolongation::Linear})
+    for (int pad0 : {0, 1}) {
+      check_transfer_rows<1>(kind, pad0);
+      check_transfer_rows<2>(kind, pad0);
+      check_transfer_rows<3>(kind, pad0);
+    }
 }
 
 }  // namespace
