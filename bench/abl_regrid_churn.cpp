@@ -42,7 +42,7 @@ typename AmrSolver<D, IdealMhd<D>>::Config churn_config() {
   // mmap threshold (~128 KiB): 2D 64^2 -> (68)^2 x 8 x 8 B ~ 289 KiB,
   // 3D 16^3 -> (20)^3 x 8 x 8 B ~ 500 KiB.
   cfg.cells_per_block = IVec<D>(D == 2 ? 64 : 16);
-  cfg.num_threads = 1;  // isolate the allocator, not the task graph
+  cfg.num_threads = 1;  // isolate the allocator, not the thread pool
   return cfg;
 }
 

@@ -171,9 +171,9 @@ BENCHMARK(BM_GhostPackUnpack)->Arg(8)->Arg(16);
 
 void BM_SolverStep(benchmark::State& state) {
   // Whole Heun step (two ghost fills + two stage sweeps + combine) on a
-  // mixed-level 3D Euler grid. This is the driver-overlap metric: kernel
-  // throughput is covered above; what moves here is how much of the ghost
-  // exchange and boundary work hides behind interior compute.
+  // mixed-level 3D Euler grid. This is the driver metric: kernel
+  // throughput is covered above; what moves here is the ghost exchange,
+  // the block loop and how well the thread pool spreads it.
   const int threads = static_cast<int>(state.range(0));
   Euler<3> phys;
   AmrSolver<3, Euler<3>>::Config cfg;

@@ -171,7 +171,7 @@ for name, ratio in doc.get("speedup_vs_seed", {}).items():
     print(f"  {name}: {ratio:.2f}x vs seed")
 
 # The end-to-end solver-step numbers get their own file: these are the
-# whole-driver (ghost exchange + task graph + kernels) results, by thread
+# whole-driver (ghost exchange + block loop + kernels) results, by thread
 # count, that regressions in anything outside the kernels show up in.
 solver = [b for b in doc["after"] if b["name"].startswith("BM_SolverStep")]
 solver_doc = {"context": doc["context"], "host": host, "benchmarks": solver}

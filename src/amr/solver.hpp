@@ -7,12 +7,10 @@
 // paper's MHD code. All blocks advance with one global timestep (no
 // subcycling), as in the original.
 //
-// With threads, each stage runs as a per-block task graph instead of
-// bulk-synchronous phases: a block's interior update (stencil never touches
-// ghosts) starts immediately, while its rim update waits only on that
-// block's own incoming ghost ops and boundary faces. See the task-graph
-// notes ahead of rebuild_stage_graph() for the dependency argument; results
-// are bitwise identical to the serial path.
+// A stage is one loop over blocks, as in the paper: a block's update needs
+// only its own ghost ring, so each iteration fills that ring and updates
+// the block (fill_and_update). The thread count only decides whether the
+// loop runs on a pool; results are bitwise independent of it.
 #pragma once
 
 #include <array>
@@ -39,7 +37,7 @@
 #include "util/aligned.hpp"
 #include "util/block_pool.hpp"
 #include "util/error.hpp"
-#include "util/task_graph.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ab {
@@ -125,9 +123,9 @@ class AmrSolver {
     AB_REQUIRE(cfg_.num_threads >= 1, "AmrSolver: num_threads must be >= 1");
     if (cfg_.num_threads > 1)
       pool_ = std::make_unique<ThreadPool>(cfg_.num_threads);
-    // One kernel scratch arena per pool thread (index 0 is the calling
-    // thread), so pencil sweeps never contend or allocate on the hot path.
-    kernel_scratch_.resize(static_cast<std::size_t>(cfg_.num_threads));
+    // One scratch set per pool thread (index 0 is the calling thread), so
+    // block updates never contend or allocate on the hot path.
+    thread_scratch_.resize(static_cast<std::size_t>(cfg_.num_threads));
     AB_REQUIRE(cfg_.rk_stages == 1 || cfg_.rk_stages == 2,
                "AmrSolver: rk_stages must be 1 or 2");
     AB_REQUIRE(cfg_.ghost >= (cfg_.order == SpatialOrder::Second ? 2 : 1),
@@ -140,7 +138,6 @@ class AmrSolver {
       scratch_.ensure(id);
     }
     if (cfg_.subcycling) rebuild_level_structures();
-    rebuild_graphs();
   }
 
   // The exchanger holds a pointer to the member forest; moving would dangle.
@@ -227,13 +224,7 @@ class AmrSolver {
       wave[static_cast<std::size_t>(i)] = block_wave_speed_sum<D, Phys>(
           store_.layout(), store_.view(id).base, phys_, dx);
     };
-    if (pool_) {
-      pool_->parallel_for(static_cast<std::int64_t>(leaves.size()), scan);
-    } else {
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(leaves.size());
-           ++i)
-        scan(i);
-    }
+    for_range(static_cast<std::int64_t>(leaves.size()), scan);
     double dt = 1e300;
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       AB_REQUIRE(std::isfinite(wave[i]),
@@ -273,13 +264,9 @@ class AmrSolver {
       step_subcycled(dt);
       return;
     }
-    if (pool_) {
-      step_graph(dt);
-      return;
-    }
     const BlockLayout<D>& lay = store_.layout();
     // Stage 1: scratch = u + dt L(u).
-    serial_stage(store_, scratch_, time_, dt);
+    run_stage(store_, scratch_, time_, dt);
     if (cfg_.rk_stages == 1) {
       obs::PhaseScope ps(cfg_.telemetry, "epilogue");
       if (cfg_.apply_positivity_fix)
@@ -296,21 +283,25 @@ class AmrSolver {
       // third store.
       if (!stage2_) stage2_ = new_store();
       for (int id : forest_.leaves()) stage2_->ensure(id);
-      serial_stage(scratch_, *stage2_, time_ + dt, dt);
+      run_stage(scratch_, *stage2_, time_ + dt, dt);
       obs::PhaseScope ps(cfg_.telemetry, "epilogue");
       for_leaves([&](int id) {
         combine_half(store_.view(id), std::as_const(*stage2_).view(id));
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
       });
     } else {
-      AlignedBuffer tmp(static_cast<std::size_t>(lay.block_doubles()));
+      // Without refluxing each block's stage-2 result lands in a one-block
+      // temporary of its thread and is combined into store_ at once.
       fill_and_update(scratch_, time_ + dt, [&](int id) {
+        ThreadScratch& ts = thread_scratch();
+        double* tmp =
+            ts.stage2.acquire(static_cast<std::size_t>(lay.block_doubles()));
         const RVec<D> dx = cell_dx(forest_.level(id));
         flop_counter_.add(fv_block_update_tiled<D, Phys>(
-            cfg_.sub_block, lay, scratch_.view(id).base, tmp.data(), phys_,
-            dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, nullptr, nullptr,
-            &kernel_scratch_[0]));
-        combine_half(store_.view(id), ConstBlockView<D>{tmp.data(), &lay});
+            cfg_.sub_block, lay, scratch_.view(id).base, tmp, phys_, dx, dt,
+            cfg_.order, cfg_.limiter, cfg_.flux, nullptr, nullptr,
+            &ts.kernel));
+        combine_half(store_.view(id), ConstBlockView<D>{tmp, &lay});
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
       });
       block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
@@ -318,40 +309,49 @@ class AmrSolver {
     time_ += dt;
   }
 
-  /// One-thread stage loop: fill each block's ghosts in `in` right before
-  /// `update(id)` runs, so the ghost ring the kernel reads is still in
-  /// cache. Bitwise equal to filling every ghost first: a stage writes only
-  /// its output, ghost ops read source interiors, and the one exception —
-  /// Prolong slope stencils read their coarse source's phase-1 ghosts — is
-  /// covered by filling the prolong sources' phase-1 ghosts up front.
+  /// The stage loop, for every thread count: fill each block's ghosts in
+  /// `in` right before `update(id)` runs, so the ghost ring the kernel
+  /// reads is still in cache, one loop iteration per block. Race-free and
+  /// bitwise equal to filling every ghost first, because
+  ///  - a stage writes only its output store and each block's own ghosts;
+  ///  - ghost ops read source interiors;
+  ///  - the one exception, Prolong slope stencils reading their coarse
+  ///    source's phase-1 ghosts, is covered by filling the prolong sources'
+  ///    phase-1 ghosts in a pass that ends before the block loop starts.
   /// Boundary conditions read only their own block's interior and write
-  /// slabs no op touches, so they run up front too.
+  /// slabs no op touches; they run up front, on the calling thread (a
+  /// Dirichlet callback is user code).
   template <class Update>
   void fill_and_update(BlockStore<D>& in, double t, const Update& update) {
-    const std::vector<int>& leaves = forest_.leaves();
     {
       obs::PhaseScope ps(cfg_.telemetry, "ghost_exchange");
       apply_boundary_conditions<D>(in, forest_, exchanger_.boundary_faces(),
                                    cfg_.bc, t);
-      for (int id : leaves)
+      for_leaves([&](int id) {
         if (exchanger_.is_prolong_source(id))
           exchanger_.fill_block_phase1(in, id);
+      });
     }
     obs::PhaseScope ps(cfg_.telemetry, "stage_update");
-    for (int id : leaves) {
+    for_leaves([&](int id) {
       if (!exchanger_.is_prolong_source(id))
         exchanger_.fill_block_phase1(in, id);
       exchanger_.fill_block_prolong(in, id);
       update(id);
-    }
+    });
     account_ghost_plan();
   }
 
-  /// One forward-Euler stage on one thread: out = in + dt L(in) at time t,
-  /// with boundary-face flux recording and refluxing when enabled.
-  void serial_stage(BlockStore<D>& in, BlockStore<D>& out, double t,
-                    double dt) {
+  /// One forward-Euler stage: out = in + dt L(in) at time t, with
+  /// boundary-face flux recording and refluxing when enabled.
+  void run_stage(BlockStore<D>& in, BlockStore<D>& out, double t,
+                 double dt) {
     const BlockLayout<D>& lay = store_.layout();
+    // FluxRegister allocates a block's face storage on first use: touch it
+    // here, so the block loop only reads the register's containers.
+    if (cfg_.flux_correction)
+      for (int id : forest_.leaves())
+        if (flux_register_.needs_fluxes(id)) flux_register_.storage(id);
     fill_and_update(in, t, [&](int id) {
       const RVec<D> dx = cell_dx(forest_.level(id));
       FaceFluxStorage<D>* ff =
@@ -361,7 +361,7 @@ class AmrSolver {
       flop_counter_.add(fv_block_update_tiled<D, Phys>(
           cfg_.sub_block, lay, in.view(id).base, out.view(id).base, phys_, dx,
           dt, cfg_.order, cfg_.limiter, cfg_.flux, ff, nullptr,
-          &kernel_scratch_[0]));
+          &thread_scratch().kernel));
     });
     block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
     // Corrections may touch one block from several faces: run serially.
@@ -429,6 +429,7 @@ class AmrSolver {
           prolong_to_children<D>(store_, ev, cfg_.prolongation);
           for (int c : ev.children) scratch_.ensure(c);
           scratch_.release(ev.parent);
+          if (stage2_) stage2_->release(ev.parent);
           ++res.refined;
         }
       }
@@ -458,7 +459,10 @@ class AmrSolver {
         if (!all || !forest_.can_coarsen(p)) continue;
         restrict_to_parent<D>(store_, p, kids);
         scratch_.ensure(p);
-        for (int c : kids) scratch_.release(c);
+        for (int c : kids) {
+          scratch_.release(c);
+          if (stage2_) stage2_->release(c);
+        }
         forest_.coarsen(p);
         ++res.coarsened;
       }
@@ -474,7 +478,6 @@ class AmrSolver {
       exchanger_.rebuild();
       if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
       if (cfg_.subcycling) rebuild_level_structures();
-      rebuild_graphs();
     }
     pending_refined_ += res.refined;
     pending_coarsened_ += res.coarsened;
@@ -538,7 +541,6 @@ class AmrSolver {
     exchanger_.rebuild();
     if (cfg_.flux_correction) flux_register_.rebuild(exchanger_);
     if (cfg_.subcycling) rebuild_level_structures();
-    rebuild_graphs();
   }
 
   /// Total per-block kernel invocations so far (a work measure: with
@@ -554,24 +556,20 @@ class AmrSolver {
   // holds time level_t_cur_[l'] >= t with its previous state (ghosts
   // included) preserved in scratch_ for time interpolation.
 
-  /// Regroup leaves, exchange ops, and boundary faces by refinement level.
+  /// Regroup leaves, ghost-op counts, and boundary faces by refinement
+  /// level.
   void rebuild_level_structures() {
     const int nl = cfg_.forest.max_level + 1;
     level_leaves_.assign(nl, {});
-    level_ops_.assign(nl, {});
     level_bfaces_.assign(nl, {});
     level_t_old_.assign(nl, time_);
     level_t_cur_.assign(nl, time_);
     for (int id : forest_.leaves())
       level_leaves_[forest_.level(id)].push_back(id);
-    const auto& ops = exchanger_.ops();
     level_op_kinds_.assign(static_cast<std::size_t>(nl), {});
-    for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
-      const int lvl = forest_.level(ops[i].dst);
-      level_ops_[lvl].push_back(i);
-      ++level_op_kinds_[static_cast<std::size_t>(lvl)]
-                       [static_cast<int>(ops[i].kind)];
-    }
+    for (const GhostOp<D>& op : exchanger_.ops())
+      ++level_op_kinds_[static_cast<std::size_t>(forest_.level(op.dst))]
+                       [static_cast<std::size_t>(op.kind)];
     for (const auto& bf : exchanger_.boundary_faces())
       level_bfaces_[forest_.level(bf.block)].push_back(bf);
   }
@@ -614,50 +612,42 @@ class AmrSolver {
     }
   }
 
-  /// Fill the ghosts of all level-l blocks for time tau.
-  void fill_level_ghosts(int l, double tau) {
-    const auto& ops = exchanger_.ops();
-    for (int i : level_ops_[l]) apply_subcycled_op(ops[i], tau);
-    apply_boundary_conditions<D>(store_, forest_, level_bfaces_[l], cfg_.bc,
-                                 tau);
-  }
-
   /// Advance level l from t to t+dt, then recursively advance finer levels
-  /// in two half-steps each.
+  /// in two half-steps each. Two block loops: the first fills the ghosts
+  /// of every level-l block for time t, the second updates, swaps and
+  /// fixes each. Fills read level-l interiors of store_ (same-level
+  /// copies), finer interiors and both states of coarser blocks; none of
+  /// those change until the second loop, whose swaps the barrier between
+  /// the loops orders after every read.
   void advance_level(int l, int lmax, double t, double dt) {
     const BlockLayout<D>& lay = store_.layout();
-    if (pool_ && !level_graphs_.empty()) {
-      sub_tau_ = t;
-      sub_dt_ = dt;
-      {
-        obs::PhaseScope ps(cfg_.telemetry, "stage_graph");
-        TaskGraph& g = level_graphs_[static_cast<std::size_t>(l)];
-        g.set_parent_span(ps.span_id());
-        g.run(pool_.get());
-      }
-      account_ghost_level(l);
-      flop_counter_.add(static_cast<std::uint64_t>(level_leaves_[l].size()) *
-                        fv_update_flops<D, Phys>(lay, cfg_.order));
-      block_updates_ += static_cast<std::uint64_t>(level_leaves_[l].size());
-    } else {
-      {
-        obs::PhaseScope ps(cfg_.telemetry, "ghost_exchange");
-        fill_level_ghosts(l, t);
-      }
-      account_ghost_level(l);
+    const std::vector<int>& leaves = level_leaves_[static_cast<std::size_t>(l)];
+    {
+      obs::PhaseScope ps(cfg_.telemetry, "ghost_exchange");
+      for_blocks(leaves, [&](int id) {
+        const auto r = exchanger_.dst_ops(id);
+        for (int i = r.first; i < r.first + r.count; ++i)
+          apply_subcycled_op(exchanger_.ops()[static_cast<std::size_t>(i)],
+                             t);
+      });
+      apply_boundary_conditions<D>(store_, forest_, level_bfaces_[l], cfg_.bc,
+                                   t);
+    }
+    account_ghost_level(l);
+    {
       obs::PhaseScope ps(cfg_.telemetry, "stage_update");
       const RVec<D> dx = cell_dx(l);
-      for (int id : level_leaves_[l]) {
+      for_blocks(leaves, [&](int id) {
         flop_counter_.add(fv_block_update_tiled<D, Phys>(
             cfg_.sub_block, lay, store_.view(id).base, scratch_.view(id).base,
             phys_, dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, nullptr,
-            nullptr, &kernel_scratch_[0]));
+            nullptr, &thread_scratch().kernel));
         // Swap: store_ takes the new state; scratch_ keeps the old one
         // (with its freshly filled ghosts) for finer-level interpolation.
         store_.swap_block(scratch_, id);
-        ++block_updates_;
         if (cfg_.apply_positivity_fix) fix_block(store_, id);
-      }
+      });
+      block_updates_ += static_cast<std::uint64_t>(leaves.size());
     }
     level_t_old_[l] = t;
     level_t_cur_[l] = t + dt;
@@ -673,314 +663,38 @@ class AmrSolver {
     time_ += dt;
   }
 
-  // ------------------------------------------------------------------
-  // Dependency-driven stepping (task graphs; pool_ only)
-  //
-  // A stage's work per leaf d splits into tasks with per-block edges
-  // instead of global phase barriers:
-  //
-  //   gh[d]   phase-1 ghost ops into d (SameCopy/Restrict — read source
-  //           interiors only) + d's boundary conditions (read d's own
-  //           interior, write d's boundary ghost slabs). No dependencies.
-  //   pr[d]   Prolong ops into d. Their slope stencils may read ghost
-  //           slabs of the coarse sources that phase 1 fills (op.valid
-  //           extends only into copy/restriction-filled slabs, never BC or
-  //           coarser ones), so pr[d] depends on gh[s] for each distinct
-  //           prolong source s — not on every phase-1 op globally.
-  //   in[d]   kernel update of the interior core (stencil radius <= ghost
-  //           never leaves owned cells). No dependencies: overlaps with
-  //           the whole exchange.
-  //   rim[d]  kernel update of the rim slabs (stencil reads d's ghost
-  //           ring): depends on gh[d] and pr[d]. When d records face
-  //           fluxes for refluxing it becomes one full-block update
-  //           instead (FaceFluxStorage is incompatible with sub-boxes)
-  //           and in[d] is omitted.
-  //   epi[d]  optional per-block epilogue (Heun combine into store_,
-  //           positivity fix): depends on in[d] and rim[d].
-  //
-  // Every task writes a region no concurrent task reads or writes: ghost
-  // ops into distinct destinations (and distinct faces of one destination)
-  // are disjoint, BC faces carry no exchange ops, core/rim tile the
-  // interior disjointly, and stage output goes to a different store than
-  // stage input. Sub-box kernel updates over a tiling are bitwise equal to
-  // one full-block update, so any execution order the scheduler picks
-  // yields bytes identical to the serial path.
-  //
-  // The graph is rebuilt per topology change; per-stage parameters (which
-  // store is input/output, dt, time, whether the epilogue combines/fixes)
-  // flow through ctx_, read by task bodies at run time.
+  /// Run fn(i) for every i in [0, n), on the pool when one exists. The
+  /// thread count only decides this; every loop body is the same.
+  template <class F>
+  void for_range(std::int64_t n, const F& fn) const {
+    if (pool_) {
+      pool_->parallel_for(n, fn);
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) fn(i);
+    }
+  }
 
-  struct StageCtx {
-    BlockStore<D>* in = nullptr;
-    BlockStore<D>* out = nullptr;
-    double dt = 0.0;
-    double t = 0.0;
-    bool combine = false;
-    bool fix = false;
+  /// Run fn(id) for every block id in `ids`, on the pool when one exists.
+  template <class F>
+  void for_blocks(const std::vector<int>& ids, const F& fn) const {
+    for_range(static_cast<std::int64_t>(ids.size()),
+              [&](std::int64_t i) { fn(ids[static_cast<std::size_t>(i)]); });
+  }
+
+  template <class F>
+  void for_leaves(const F& fn) const {
+    for_blocks(forest_.leaves(), fn);
+  }
+
+  struct ThreadScratch {
+    AlignedScratch kernel;  // pencil lanes
+    AlignedScratch stage2;  // one block: a Heun stage-2 result
   };
 
-  /// One kernel call for block `id` (sub == nullptr: whole block).
-  void update_block(BlockStore<D>& in, BlockStore<D>& out, int id,
-                    const RVec<D>& dx, double dt, FaceFluxStorage<D>* ff,
-                    const Box<D>* sub) {
-    // Tiling applies only to whole-block calls (ff == nullptr, sub ==
-    // nullptr); the wrapper falls through to the plain kernel otherwise.
-    fv_block_update_tiled<D, Phys>(
-        cfg_.sub_block, store_.layout(), in.view(id).base, out.view(id).base,
-        phys_, dx, dt, cfg_.order, cfg_.limiter, cfg_.flux, ff, sub,
-        &kernel_scratch_[static_cast<std::size_t>(
-            ThreadPool::this_thread_index())]);
-  }
-
-  /// Interior/rim overlap needs at least two hardware threads: with one
-  /// core the pool only time-slices and the split's rim-slab overhead is
-  /// pure loss (0 = unknown: assume multicore).
-  static bool overlap_pays() {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 || hw >= 2;
-  }
-
-  void rebuild_graphs() {
-    if (!pool_) return;
-    bfaces_by_block_.assign(static_cast<std::size_t>(forest_.node_capacity()),
-                            {});
-    for (const auto& bf : exchanger_.boundary_faces())
-      bfaces_by_block_[static_cast<std::size_t>(bf.block)].push_back(bf);
-    if (cfg_.subcycling)
-      rebuild_level_graphs();
-    else
-      rebuild_stage_graph();
-    obs::Tracer* const tr =
-        cfg_.telemetry != nullptr ? &cfg_.telemetry->trace : nullptr;
-    stage_graph_.set_tracer(tr, "block_task");
-    for (TaskGraph& g : level_graphs_) g.set_tracer(tr, "block_task");
-  }
-
-  void rebuild_stage_graph() {
-    stage_graph_.clear();
-    if (cfg_.rk_stages == 2) {
-      if (!stage2_) stage2_ = new_store();
-      for (int id : forest_.leaves()) stage2_->ensure(id);
-    }
-    const Box<D> core = exchanger_.interior_core();
-    const bool epilogue = !cfg_.flux_correction &&
-                          (cfg_.rk_stages == 2 || cfg_.apply_positivity_fix);
-    const std::vector<int>& leaves = forest_.leaves();
-    // A block's ghost fill needs its own task only if some finer block's
-    // prolongation reads those ghosts (slope stencils read copy- and
-    // restriction-filled ghost cells). Everyone else folds the fill into
-    // the block's update task — for a same-level-only region that leaves
-    // one fused task per block per stage with no dependencies at all.
-    std::vector<int> gh(static_cast<std::size_t>(forest_.node_capacity()), -1);
-    for (int d : leaves)
-      if (exchanger_.is_prolong_source(d))
-        gh[static_cast<std::size_t>(d)] = stage_graph_.add([this, d] {
-          exchanger_.fill_block_phase1(*ctx_.in, d);
-          apply_boundary_conditions<D>(
-              *ctx_.in, forest_,
-              bfaces_by_block_[static_cast<std::size_t>(d)], cfg_.bc, ctx_.t);
-        });
-    for (int d : leaves) {
-      const RVec<D> dx = cell_dx(forest_.level(d));
-      const bool fuse_gh = !exchanger_.is_prolong_source(d);
-      const bool has_pr = !exchanger_.prolong_sources(d).empty();
-      const bool record =
-          cfg_.flux_correction && flux_register_.needs_fluxes(d);
-      // Interior/rim splitting costs extra sweep-setup work on the thin rim
-      // slabs, so it is applied only where it buys overlap: blocks whose
-      // ghosts need interpolation from a coarse neighbor (the expensive,
-      // dependency-laden fills), and only when the hardware can actually
-      // run interior compute concurrently with the fill. Same-level-only
-      // blocks run as one task — their ghost fill is a handful of row
-      // copies with nothing to hide.
-      const bool split =
-          !record && !core.empty() && overlap_pays() && has_pr;
-      // Without a split the epilogue has a single producer: fold it in.
-      const bool fuse_epi = epilogue && !split;
-      int interior = -1;
-      if (split)
-        interior = stage_graph_.add([this, d, dx, core] {
-          update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt, nullptr, &core);
-        });
-      const int rim = stage_graph_.add(
-          [this, d, dx, record, split, fuse_gh, has_pr, fuse_epi] {
-            if (fuse_gh) {
-              exchanger_.fill_block_phase1(*ctx_.in, d);
-              apply_boundary_conditions<D>(
-                  *ctx_.in, forest_,
-                  bfaces_by_block_[static_cast<std::size_t>(d)], cfg_.bc,
-                  ctx_.t);
-            }
-            if (has_pr) exchanger_.fill_block_prolong(*ctx_.in, d);
-            if (record) {
-              update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt,
-                           &flux_register_.storage(d), nullptr);
-            } else if (!split) {
-              update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt, nullptr,
-                           nullptr);
-            } else {
-              for (const Box<D>& b : exchanger_.rim_boxes())
-                update_block(*ctx_.in, *ctx_.out, d, dx, ctx_.dt, nullptr, &b);
-            }
-            if (fuse_epi) {
-              if (ctx_.combine)
-                combine_half(store_.view(d), std::as_const(*stage2_).view(d));
-              if (ctx_.fix) fix_block(ctx_.combine ? store_ : *ctx_.out, d);
-            }
-          });
-      if (!fuse_gh) stage_graph_.depends(rim, gh[static_cast<std::size_t>(d)]);
-      for (int s : exchanger_.prolong_sources(d))
-        stage_graph_.depends(rim, gh[static_cast<std::size_t>(s)]);
-      if (epilogue && split) {
-        const int epi = stage_graph_.add([this, d] {
-          if (ctx_.combine)
-            combine_half(store_.view(d), std::as_const(*stage2_).view(d));
-          if (ctx_.fix) fix_block(ctx_.combine ? store_ : *ctx_.out, d);
-        });
-        stage_graph_.depends(epi, interior);
-        stage_graph_.depends(epi, rim);
-      }
-    }
-  }
-
-  /// Run one stage through the graph: ctx_ must be set. Handles flux
-  /// pre-touch, flop accounting, and refluxing like serial_stage.
-  void run_stage_graph() {
-    if (cfg_.flux_correction)
-      for (int id : forest_.leaves())
-        if (flux_register_.needs_fluxes(id)) flux_register_.storage(id);
-    {
-      obs::PhaseScope ps(cfg_.telemetry, "stage_graph");
-      stage_graph_.set_parent_span(ps.span_id());
-      stage_graph_.run(pool_.get());
-    }
-    account_ghost_plan();
-    flop_counter_.add(static_cast<std::uint64_t>(forest_.num_leaves()) *
-                      fv_update_flops<D, Phys>(store_.layout(), cfg_.order));
-    block_updates_ += static_cast<std::uint64_t>(forest_.num_leaves());
-    // Corrections may touch one block from several faces: run serially.
-    if (cfg_.flux_correction) {
-      obs::PhaseScope ps(cfg_.telemetry, "reflux");
-      flux_register_.apply(*ctx_.out, ctx_.dt);
-    }
-  }
-
-  /// Threaded step: both Heun stages flow through the task graph. With
-  /// flux correction the combine/fix epilogues cannot fold into the graph
-  /// (they must see the refluxed stage result), so they run as post-passes
-  /// in the same order the serial path uses.
-  void step_graph(double dt) {
-    ctx_ = StageCtx{&store_, &scratch_, dt, time_, false,
-                    cfg_.apply_positivity_fix && !cfg_.flux_correction};
-    run_stage_graph();
-    if (cfg_.flux_correction && cfg_.apply_positivity_fix) {
-      obs::PhaseScope ps(cfg_.telemetry, "epilogue");
-      for_leaves([&](int id) { fix_block(scratch_, id); });
-    }
-    if (cfg_.rk_stages == 1) {
-      std::swap(store_, scratch_);
-      time_ += dt;
-      return;
-    }
-    for (int id : forest_.leaves()) stage2_->ensure(id);
-    ctx_ = StageCtx{&scratch_, stage2_.get(), dt, time_ + dt,
-                    !cfg_.flux_correction,
-                    cfg_.apply_positivity_fix && !cfg_.flux_correction};
-    run_stage_graph();
-    if (cfg_.flux_correction) {
-      obs::PhaseScope ps(cfg_.telemetry, "epilogue");
-      for_leaves([&](int id) {
-        combine_half(store_.view(id), std::as_const(*stage2_).view(id));
-        if (cfg_.apply_positivity_fix) fix_block(store_, id);
-      });
-    }
-    time_ += dt;
-  }
-
-  // Subcycling task graphs, one per level. The same interior/rim split
-  // applies, with two twists: ghost fills time-blend Prolong sources
-  // (apply_subcycled_op), and the rim task finishes by swapping the
-  // block's store_/scratch_ buffers and fixing positivity — publishing the
-  // new state. Because a same-level SameCopy into d' reads the OLD
-  // interior of its source s, the swap task R(s) also waits on F(d') for
-  // every same-level consumer d' (anti-dependency). Finer and coarser
-  // sources are not updated during this level's graph, so they need no
-  // edges.
-  void rebuild_level_graphs() {
-    const int nl = cfg_.forest.max_level + 1;
-    level_graphs_ = std::vector<TaskGraph>(static_cast<std::size_t>(nl));
-    const Box<D> core = exchanger_.interior_core();
-    const auto& ops = exchanger_.ops();
-    for (int l = 0; l < nl; ++l) {
-      TaskGraph& g = level_graphs_[static_cast<std::size_t>(l)];
-      const RVec<D> dx = cell_dx(l);
-      std::vector<int> fid(static_cast<std::size_t>(forest_.node_capacity()),
-                           -1);
-      std::vector<int> rid(static_cast<std::size_t>(forest_.node_capacity()),
-                           -1);
-      for (int d : level_leaves_[l])
-        fid[static_cast<std::size_t>(d)] = g.add([this, d] {
-          const auto r = exchanger_.dst_ops(d);
-          for (int i = r.first; i < r.first + r.count; ++i)
-            apply_subcycled_op(exchanger_.ops()[static_cast<std::size_t>(i)],
-                               sub_tau_);
-          apply_boundary_conditions<D>(
-              store_, forest_, bfaces_by_block_[static_cast<std::size_t>(d)],
-              cfg_.bc, sub_tau_);
-        });
-      for (int d : level_leaves_[l]) {
-        // Split only blocks with a time-blended coarse fill to hide (same
-        // heuristic as the stage graph: thin rim slabs cost sweep setup).
-        const bool has_prolong = !exchanger_.prolong_sources(d).empty();
-        const bool split = !core.empty() && overlap_pays() && has_prolong;
-        int interior = -1;
-        if (split)
-          interior = g.add([this, d, dx, core] {
-            update_block(store_, scratch_, d, dx, sub_dt_, nullptr, &core);
-          });
-        rid[static_cast<std::size_t>(d)] = g.add([this, d, dx, split] {
-          if (!split) {
-            update_block(store_, scratch_, d, dx, sub_dt_, nullptr, nullptr);
-          } else {
-            for (const Box<D>& b : exchanger_.rim_boxes())
-              update_block(store_, scratch_, d, dx, sub_dt_, nullptr, &b);
-          }
-          // Swap: store_ takes the new state; scratch_ keeps the old one
-          // (with its freshly filled ghosts) for finer-level interpolation.
-          store_.swap_block(scratch_, d);
-          if (cfg_.apply_positivity_fix) fix_block(store_, d);
-        });
-        g.depends(rid[static_cast<std::size_t>(d)],
-                  fid[static_cast<std::size_t>(d)]);
-        if (interior >= 0)
-          g.depends(rid[static_cast<std::size_t>(d)], interior);
-      }
-      // Anti-dependencies: s's swap waits until every same-level copy out
-      // of s has read the old state.
-      for (int d : level_leaves_[l]) {
-        const auto r = exchanger_.dst_ops(d);
-        for (int i = r.first; i < r.first + r.count; ++i) {
-          const GhostOp<D>& op = ops[static_cast<std::size_t>(i)];
-          if (op.kind == GhostOpKind::SameCopy)
-            g.depends(rid[static_cast<std::size_t>(op.src)],
-                      fid[static_cast<std::size_t>(op.dst)]);
-        }
-      }
-    }
-  }
-
-  /// Run fn(leaf_id) for every leaf, in parallel when a pool exists.
-  template <class F>
-  void for_leaves(const F& fn) {
-    const std::vector<int>& leaves = forest_.leaves();
-    if (pool_) {
-      pool_->parallel_for(static_cast<std::int64_t>(leaves.size()),
-                          [&](std::int64_t i) {
-                            fn(leaves[static_cast<std::size_t>(i)]);
-                          });
-    } else {
-      for (int id : leaves) fn(id);
-    }
+  /// This thread's scratch: by its pool index, or 0 without a pool.
+  ThreadScratch& thread_scratch() {
+    return thread_scratch_[static_cast<std::size_t>(
+        pool_ ? ThreadPool::this_thread_index() : 0)];
   }
 
   /// dst = (dst + src) / 2 over the interior (shared with RankSolver so the
@@ -1106,9 +820,9 @@ class AmrSolver {
   BlockStore<D> scratch_;
   GhostExchanger<D> exchanger_;
   FluxRegister<D> flux_register_;
-  std::unique_ptr<BlockStore<D>> stage2_;  // with flux_correction or threads
+  std::unique_ptr<BlockStore<D>> stage2_;  // RK2 with flux_correction
   std::unique_ptr<ThreadPool> pool_;       // when num_threads > 1
-  std::vector<AlignedScratch> kernel_scratch_;  // one per pool thread
+  std::vector<ThreadScratch> thread_scratch_;  // one per pool thread
   double time_ = 0.0;
   FlopCounter flop_counter_;  // thread-sharded; merged on total_flops()
   std::uint64_t block_updates_ = 0;
@@ -1125,17 +839,9 @@ class AmrSolver {
   std::vector<std::array<std::int64_t, 3>> level_op_kinds_;
   // Subcycling bookkeeping (empty unless cfg_.subcycling).
   std::vector<std::vector<int>> level_leaves_;
-  std::vector<std::vector<int>> level_ops_;
   std::vector<std::vector<BoundaryFace>> level_bfaces_;
   std::vector<double> level_t_old_;
   std::vector<double> level_t_cur_;
-  // Task-graph stepping (populated only when pool_ exists).
-  TaskGraph stage_graph_;
-  StageCtx ctx_;
-  std::vector<std::vector<BoundaryFace>> bfaces_by_block_;
-  std::vector<TaskGraph> level_graphs_;       // per level, with subcycling
-  double sub_tau_ = 0.0;  // current substep fill time (set before each run)
-  double sub_dt_ = 0.0;   // current substep size
 };
 
 }  // namespace ab

@@ -19,36 +19,6 @@ GhostExchanger<D>::GhostExchanger(const Forest<D>& forest,
     AB_REQUIRE(layout_.interior[d] % 2 == 0,
                "GhostExchanger: interior extents must be even so coarse/fine "
                "interfaces are cell-aligned");
-
-  // Interior/rim decomposition (layout geometry, same for every block): the
-  // core shrinks the interior by the ghost width so a radius<=ghost stencil
-  // stays inside owned cells; the rim is an onion peel of 2*D slabs, each
-  // dimension's pair shrunk in the already-peeled dimensions so the slabs
-  // are disjoint and tile interior minus core exactly. Dimension 0 is
-  // peeled last: the slabs thin in dimension 0 have short contiguous rows
-  // (poor per-row amortization in the sweep kernels), so peeling it last
-  // makes that pair as small as possible.
-  const int g = layout_.ghost;
-  bool has_core = true;
-  for (int d = 0; d < D; ++d)
-    if (layout_.interior[d] <= 2 * g) has_core = false;
-  if (!has_core) {
-    core_ = Box<D>{};
-    rim_boxes_.push_back(layout_.interior_box());
-  } else {
-    Box<D> cur = layout_.interior_box();
-    for (int d = D - 1; d >= 0; --d) {
-      Box<D> lo = cur;
-      lo.hi[d] = cur.lo[d] + g;
-      rim_boxes_.push_back(lo);
-      Box<D> hi = cur;
-      hi.lo[d] = cur.hi[d] - g;
-      rim_boxes_.push_back(hi);
-      cur.lo[d] += g;
-      cur.hi[d] -= g;
-    }
-    core_ = cur;
-  }
   rebuild();
 }
 

@@ -128,16 +128,15 @@ class GhostExchanger {
   }
 
   /// Phase-1 ops (SameCopy + Restrict) into block `dst`, in the same
-  /// relative order fill() uses. These read only source interiors, so one
-  /// such task per destination can run as soon as the stage's input store
-  /// is current — no ordering against other destinations.
+  /// relative order fill() uses. These read only source interiors, so the
+  /// fills of distinct destinations can run in any order, or at once, as
+  /// soon as the stage's input store is current.
   void fill_block_phase1(BlockStore<D>& store, int dst) const;
 
   /// Prolong ops into block `dst`. Their slope stencils may read ghost
   /// slabs of the coarse source that phase 1 fills (op.valid extends only
-  /// into restriction/copy-filled slabs, never BC or coarser ones), so a
-  /// per-destination prolong task depends exactly on the phase-1 tasks of
-  /// the blocks in prolong_sources(dst).
+  /// into restriction/copy-filled slabs, never BC or coarser ones), so they
+  /// run after the phase-1 fills of the blocks in prolong_sources(dst).
   void fill_block_prolong(BlockStore<D>& store, int dst) const;
 
   /// Distinct source blocks of the Prolong ops into `dst` (empty when the
@@ -209,17 +208,6 @@ class GhostExchanger {
   /// Op/cell counts by kind for the current plan (one fill's worth).
   const GhostPlanStats& plan_stats() const { return plan_stats_; }
 
-  /// The interior sub-box whose update stencil (radius <= ghost) never
-  /// reads ghost cells — runnable before any ghost op. Empty when some
-  /// interior extent is <= 2*ghost (the whole block is rim).
-  const Box<D>& interior_core() const { return core_; }
-
-  /// Disjoint slabs covering interior_box() minus interior_core() (the
-  /// cells whose stencil reaches into the ghost ring). Together with the
-  /// core they tile the interior exactly; sub-box kernel updates over the
-  /// tiling are bitwise equal to one full-block update.
-  const std::vector<Box<D>>& rim_boxes() const { return rim_boxes_; }
-
  private:
   /// Plan the ops into face (dim, side) of leaf `id`, appending to `out`;
   /// a domain-boundary face sets its bit (2*dim + side) in `bfaces`.
@@ -238,8 +226,6 @@ class GhostExchanger {
   std::vector<std::uint8_t> dst_bfaces_;
   std::vector<std::vector<int>> prolong_srcs_;
   std::vector<char> is_prolong_src_;
-  Box<D> core_;
-  std::vector<Box<D>> rim_boxes_;
   std::vector<BoundaryFace> boundary_faces_;
   GhostPlanStats plan_stats_;
   typename Forest<D>::ChangeCursor cursor_;  // forest history planned for

@@ -193,18 +193,6 @@ class RankSolver {
       board_.set_wire(hub_, wire::PayloadClass::Board);
       topo_board_.set_wire(hub_, wire::PayloadClass::Topo);
     }
-    distmeta_ = resolve_distmeta(cfg_);
-    if (distmeta_ && (!CurveMap<D>::supports(cfg_.policy) ||
-                      cfg_.solver.forest.max_level_diff != 1)) {
-      // A config request for an unsupportable setup is a caller error; an
-      // env-forced AB_DIST_META=1 on such a run falls back to global
-      // metadata (the same grace AB_AUTOTUNE shows inapplicable layouts).
-      AB_REQUIRE(!cfg_.distributed_metadata,
-                 "RankSolver: distributed_metadata requires an SFC "
-                 "partition policy (Morton or Hilbert) and the 2:1 level "
-                 "constraint");
-      distmeta_ = false;
-    }
     rebuild_rank_structures();
   }
 
@@ -236,7 +224,7 @@ class RankSolver {
   const RegridCost& last_regrid_cost() const { return last_regrid_; }
   const RankRunTotals& totals() const { return totals_; }
   /// Whether the distributed-metadata path is active (config or env).
-  bool distributed_metadata() const { return distmeta_; }
+  bool distributed_metadata() const { return cfg_.distributed_metadata; }
   /// The per-rank local views (null when distributed_metadata is off).
   const LocalTopologySet<D>* local_topology() const { return topo_.get(); }
   /// The transport actually carrying exchange payloads (config + env +
@@ -537,7 +525,8 @@ class RankSolver {
     // performs, to broadcast (binarized-octree encoded) to its neighbor
     // ranks after the regrid settles.
     std::vector<std::vector<TopoDeltaRecord<D>>> deltas;
-    if (distmeta_) deltas.resize(static_cast<std::size_t>(cfg_.npes));
+    if (cfg_.distributed_metadata)
+      deltas.resize(static_cast<std::size_t>(cfg_.npes));
 
     RegridCost rc;
     {
@@ -549,7 +538,7 @@ class RankSolver {
         if (forest_.level(id) >= cfg_.solver.forest.max_level) continue;
         for (const auto& ev : forest_.refine(id)) {
           const int pe = owner_at(ev.parent);
-          if (distmeta_)
+          if (cfg_.distributed_metadata)
             deltas[static_cast<std::size_t>(pe)].push_back(
                 {TopoDeltaOp::Refine, forest_.level(ev.parent),
                  forest_.coords(ev.parent)});
@@ -560,6 +549,8 @@ class RankSolver {
             scratch_[static_cast<std::size_t>(pe)].ensure(c);
           }
           scratch_[static_cast<std::size_t>(pe)].release(ev.parent);
+          if (use_stage2())
+            stage2_[static_cast<std::size_t>(pe)].release(ev.parent);
           owner_[static_cast<std::size_t>(ev.parent)] = -1;
           ++res.refined;
         }
@@ -610,10 +601,12 @@ class RankSolver {
         scratch_[static_cast<std::size_t>(pe)].ensure(p);
         for (int c : kids) {
           scratch_[static_cast<std::size_t>(owner_at(c))].release(c);
+          if (use_stage2())
+            stage2_[static_cast<std::size_t>(owner_at(c))].release(c);
           owner_[static_cast<std::size_t>(c)] = -1;
         }
         set_owner_entry(p, pe);
-        if (distmeta_)
+        if (cfg_.distributed_metadata)
           deltas[static_cast<std::size_t>(pe)].push_back(
               {TopoDeltaOp::Coarsen, forest_.level(p), forest_.coords(p)});
         forest_.coarsen(p);
@@ -658,13 +651,15 @@ class RankSolver {
       // Hull prefetch rides with the migration: post-regrid descriptors go
       // to the stale view's neighbor ranks now, so the rebuild below can
       // validate hints instead of probing.
-      if (distmeta_ && cfg_.hull_prefetch && topo_ != nullptr)
+      if (cfg_.distributed_metadata && cfg_.hull_prefetch &&
+          topo_ != nullptr)
         exchange_hull_prefetch(rc, ps.span_id());
       {
         obs::PhaseScope ts(tel, "regrid.plan");
         rebuild_rank_structures();
       }
-      if (distmeta_) exchange_topology_deltas(deltas, rc, ps.span_id());
+      if (cfg_.distributed_metadata)
+        exchange_topology_deltas(deltas, rc, ps.span_id());
       rc.migrated_blocks = ms.blocks;
       rc.migration_messages = ms.messages;
       rc.migration_bytes = ms.bytes;
@@ -775,15 +770,7 @@ class RankSolver {
             favg_off_[i] + reg.correction_doubles(reg.corrections()[i]);
       favg_.resize(static_cast<std::size_t>(favg_off_.back()));
     }
-    if (distmeta_) rebuild_local_topology();
-  }
-
-  /// Resolve the distributed-metadata switch (config + AB_DIST_META env;
-  /// the env wins).
-  static bool resolve_distmeta(const Config& cfg) {
-    bool use = cfg.distributed_metadata;
-    if (const char* e = std::getenv("AB_DIST_META")) use = e[0] != '0';
-    return use;
+    if (cfg_.distributed_metadata) rebuild_local_topology();
   }
 
   /// Rebuild every rank's local view (owned + hull + directory) for the
@@ -1177,7 +1164,7 @@ class RankSolver {
         ->add(static_cast<std::uint64_t>(ps.fresh_allocs - pool_fresh_seen_));
     pool_reuse_seen_ = ps.reuse_hits;
     pool_fresh_seen_ = ps.fresh_allocs;
-    if (distmeta_ && topo_ != nullptr) {
+    if (cfg_.distributed_metadata && topo_ != nullptr) {
       // Per-rank topology footprint: the gauges must track blocks/rank +
       // hull, not total blocks (the distributed-metadata contract). Probe
       // and delta totals are cumulative; counters take per-step deltas.
@@ -1275,10 +1262,26 @@ class RankSolver {
     return BlockStore<D>(layout_, block_pool_);
   }
 
-  /// Run the layout autotuner over the embedded solver config before any
-  /// layout-derived member is built (see AmrSolver::Config::autotune).
+  /// Resolve the config before any member is built: settle
+  /// distributed_metadata (AB_DIST_META wins over the config field), then
+  /// run the layout autotuner over the embedded solver config (see
+  /// AmrSolver::Config::autotune).
   static Config resolve_cfg(Config cfg, const Phys& phys,
                             tune::TuneDecision* dec) {
+    const bool requested = cfg.distributed_metadata;
+    if (const char* e = std::getenv("AB_DIST_META"))
+      cfg.distributed_metadata = e[0] != '0';
+    if (cfg.distributed_metadata && (!CurveMap<D>::supports(cfg.policy) ||
+                                     cfg.solver.forest.max_level_diff != 1)) {
+      // A config request for an unsupportable setup is a caller error; an
+      // env-forced AB_DIST_META=1 on such a run falls back to global
+      // metadata (the same grace AB_AUTOTUNE shows inapplicable layouts).
+      AB_REQUIRE(!requested,
+                 "RankSolver: distributed_metadata requires an SFC "
+                 "partition policy (Morton or Hilbert) and the 2:1 level "
+                 "constraint");
+      cfg.distributed_metadata = false;
+    }
     cfg.solver = tune::resolve_layout<D, Phys>(std::move(cfg.solver), phys, dec);
     return cfg;
   }
@@ -1311,10 +1314,9 @@ class RankSolver {
   std::vector<double> favg_;
   std::vector<std::int64_t> favg_off_;
   std::vector<std::vector<BoundaryFace>> bfaces_by_pe_;
-  /// Distributed metadata (Config::distributed_metadata / AB_DIST_META):
-  /// per-rank local views rebuilt with every partition change; the probe
-  /// and delta totals feed the topo.* telemetry counters.
-  bool distmeta_ = false;
+  /// Distributed metadata (Config::distributed_metadata, resolved with
+  /// AB_DIST_META): per-rank local views rebuilt with every partition
+  /// change; the probe and delta totals feed the topo.* telemetry counters.
   std::unique_ptr<LocalTopologySet<D>> topo_;
   std::int64_t topo_probes_acc_ = 0;
   std::int64_t topo_remote_acc_ = 0;

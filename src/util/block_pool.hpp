@@ -32,7 +32,7 @@
 //
 // Thread safety: none — the pool is mutated only from the serial sections
 // of the solvers (construction, init, adapt/regrid, migration, restore),
-// never from inside a parallel phase. The threaded task graphs only read
+// never from inside a parallel phase. The threaded block loops only read
 // and write slab *contents*, which is safe because acquire/release are
 // never concurrent with them.
 #pragma once

@@ -71,12 +71,10 @@ class ThreadPool {
   /// call concurrently for distinct i. Exceptions thrown by fn terminate
   /// (the numerics never throw on valid data; programming errors should be
   /// loud). Tiny trip counts (n <= kSerialCutoff) run serially on the
-  /// calling thread. `chunk` fixes the dynamic claim size; 0 picks one
-  /// from n and the thread count. Callers whose indices have wildly uneven
-  /// or mutually dependent work (the task-graph drain) pass 1 so no thread
-  /// pre-claims work it cannot start yet.
+  /// calling thread. Indices are claimed in chunks sized from n and the
+  /// thread count.
   template <class F>
-  void parallel_for(std::int64_t n, F&& fn, std::int64_t chunk = 0) {
+  void parallel_for(std::int64_t n, F&& fn) {
     if (n <= 0) return;
     if (num_threads_ == 1 || n <= kSerialCutoff) {
       for (std::int64_t i = 0; i < n; ++i) fn(i);
@@ -93,8 +91,7 @@ class ThreadPool {
       };
       next_.store(0, std::memory_order_relaxed);
       limit_ = n;
-      chunk_ = chunk > 0 ? chunk
-                         : std::max<std::int64_t>(1, n / (8 * num_threads_));
+      chunk_ = std::max<std::int64_t>(1, n / (8 * num_threads_));
       remaining_.store(n, std::memory_order_relaxed);
       ++generation_;
     }

@@ -190,6 +190,34 @@ TEST(AmrSolver, AdaptReportsAndBalancesCounts) {
   EXPECT_EQ(total_coarsened, r1.refined);
 }
 
+// RK2 with refluxing keeps three slabs per leaf: store, scratch and the
+// stage-2 store. Refining a parent or coarsening its children must return
+// their slabs in all three, or the arena grows with every regrid.
+TEST(AmrSolver, RefluxedRk2HoldsThreeSlabsPerLeafAcrossRegrids) {
+  LinearAdvection<2> phys;
+  phys.velocity = {1.0, 0.6};
+  auto cfg = advection_cfg(2, 8);
+  cfg.forest.max_level = 3;
+  cfg.flux_correction = true;
+  AmrSolver<2, LinearAdvection<2>> solver(cfg, phys);
+  solver.init([](const RVec<2>& x, LinearAdvection<2>::State& s) {
+    s[0] = 1.0 + gaussian(x, 0.3, 0.4);
+  });
+  GradientCriterion<2> crit{0, 0.04, 0.01, 2};
+  int refined = 0, coarsened = 0;
+  for (int i = 0; i < 100; ++i) {
+    solver.step(solver.compute_dt());
+    ASSERT_EQ(solver.block_pool()->stats().slabs_in_use,
+              3 * solver.forest().num_leaves())
+        << "step " << i;
+    const auto r = solver.adapt(crit);
+    refined += r.refined;
+    coarsened += r.coarsened;
+  }
+  EXPECT_GT(refined, 0);
+  EXPECT_GT(coarsened, 0);
+}
+
 // ---------------------------------------------------------------- Euler
 
 TEST(AmrSolver, SodShockTubeMatchesExactSolution) {

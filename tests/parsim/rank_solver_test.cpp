@@ -460,6 +460,33 @@ TEST(RankSolver, RegridMigratesBlocksAndStaysBitwise) {
   expect_identical(serial, ranks);
 }
 
+// RK2 with refluxing keeps three slabs per leaf across the ranks: store,
+// scratch and stage-2. A refined parent and coarsened children must give
+// their slabs back in all three, not only when a block migrates.
+TEST(RankSolver, RefluxedRk2HoldsThreeSlabsPerLeafAcrossRegrids) {
+  LinearAdvection<2> phys = advection_phys();
+  RankSolver<2, LinearAdvection<2>>::Config rcfg;
+  rcfg.solver = advection_cfg();
+  rcfg.solver.forest.max_level = 3;
+  rcfg.solver.flux_correction = true;
+  rcfg.npes = 4;
+  RankSolver<2, LinearAdvection<2>> ranks(rcfg, phys);
+  ranks.init(advection_ic);
+  GradientCriterion<2> crit{0, 0.04, 0.01, 2};
+  int refined = 0, coarsened = 0;
+  for (int i = 0; i < 100; ++i) {
+    ranks.step(ranks.compute_dt());
+    ASSERT_EQ(ranks.block_pool()->stats().slabs_in_use,
+              3 * ranks.forest().num_leaves())
+        << "step " << i;
+    const auto r = ranks.adapt(crit);
+    refined += r.refined;
+    coarsened += r.coarsened;
+  }
+  EXPECT_GT(refined, 0);
+  EXPECT_GT(coarsened, 0);
+}
+
 TEST(RankSolver, DistMetaRegridShipsDeltasAndMeasuresTopology) {
   LinearAdvection<2> phys = advection_phys();
   RankSolver<2, LinearAdvection<2>>::Config rcfg;

@@ -217,13 +217,13 @@ TEST(KernelEquivalence, SubBoxTilingMatchesFullUpdate) {
       phys, [&](IVec<3> p) { return smooth_euler<3>(phys, p); }, boxes);
 }
 
-// The threaded stage splits each block into a ghost-independent core and
-// rim slabs (GhostExchanger::interior_core / rim_boxes) and updates each as
-// a sub-box, so the Powell source also runs over short sub-box pencils.
+// The kernel's sub-box entry point must reproduce a full-block update over
+// any tiling, including thin slabs whose Powell source runs over short
+// pencils: here an onion peel of 2-thick rim slabs around a core.
 TEST(KernelEquivalence, MhdCoreRimTilingMatchesFullUpdate) {
   IdealMhd<3> phys;
-  // Same tiling as GhostExchanger with 2 ghost layers: peel a 2-thick slab
-  // off each side, highest dimension first; what remains is the core.
+  // Peel a 2-thick slab off each side, highest dimension first; what
+  // remains is the core.
   std::vector<Box<3>> boxes;
   Box<3> cur{IVec<3>(0), IVec<3>(8)};
   for (int d = 2; d >= 0; --d) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -50,24 +51,29 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
 }
 
 TEST(ThreadPool, ActuallyUsesMultipleThreads) {
+  // Rendezvous: indices 0 and 1 each wait (bounded) for the other to
+  // start. A loop that runs every index on one thread leaves index 0
+  // waiting alone until its deadline, so this fails instead of hanging.
+  // The loop has more indices than kSerialCutoff so the pool really fans
+  // out, and few enough that each claim is a single index.
   ThreadPool pool(4);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  pool.parallel_for(4096, [&](std::int64_t) {
-    int c = concurrent.fetch_add(1) + 1;
-    int p = peak.load();
-    while (c > p && !peak.compare_exchange_weak(p, c)) {
-    }
-    // A short spin so overlaps are observable even on one core with
-    // preemption; no sleeps (keeps the test fast).
-    volatile int x = 0;
-    for (int i = 0; i < 500; ++i) x = x + i;
-    concurrent.fetch_sub(1);
+  constexpr std::int64_t kN = 4 * ThreadPool::kSerialCutoff;
+  std::atomic<int> arrived{0};
+  std::thread::id who[2];
+  bool met[2] = {false, false};
+  pool.parallel_for(kN, [&](std::int64_t i) {
+    if (i >= 2) return;
+    who[i] = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    met[i] = arrived.load() >= 2;
   });
-  // On a single-core machine the scheduler may serialize everything; just
-  // require that the pool completed and never exceeded its size.
-  EXPECT_LE(peak.load(), 4);
-  EXPECT_GE(peak.load(), 1);
+  EXPECT_TRUE(met[0]) << "index 0 never saw index 1 start";
+  EXPECT_TRUE(met[1]) << "index 1 never saw index 0 start";
+  EXPECT_NE(who[0], who[1]);
 }
 
 TEST(ThreadPool, RejectsZeroThreads) { EXPECT_THROW(ThreadPool(0), Error); }
@@ -90,8 +96,7 @@ TEST(ThreadPool, BackToBackLoopsUnderOversubscription) {
     ThreadPool pool(4);
     for (int c = 0; c < 20000; ++c) {
       std::atomic<int> hits[8] = {};
-      pool.parallel_for(
-          8, [&hits](std::int64_t i) { hits[i].fetch_add(1); }, 1);
+      pool.parallel_for(8, [&hits](std::int64_t i) { hits[i].fetch_add(1); });
       for (const auto& h : hits)
         if (h.load() != 1) bad.fetch_add(1);
     }
